@@ -11,7 +11,7 @@ import argparse
 import os
 import sys
 
-from .control import SeriesControl
+from .control import as_tau
 from .errors import ThetaKitError
 from .reports import reports_to_csv, reports_to_json, summary_lines
 from .suites import SUITE_ORDER, SuiteConfig, run_suite
@@ -20,6 +20,10 @@ EXIT_PASS = 0
 EXIT_SUITE_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_NONCONVERGENCE = 3
+
+
+class UsageError(ThetaKitError):
+    """Bad input from the command line or a config file (exit code 2)."""
 
 
 def parse_complex(text: str) -> complex:
@@ -41,16 +45,47 @@ def parse_complex(text: str) -> complex:
 def load_config_file(path: str) -> dict:
     """Simple key=value configuration; '#' starts a comment."""
     out = {}
-    with open(path) as fh:
+    try:
+        fh = open(path)
+    except OSError as exc:
+        raise UsageError(f"cannot read config file: {exc}") from None
+    with fh:
         for raw in fh:
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
             if "=" not in line:
-                raise ThetaKitError(f"bad config line: {raw.rstrip()}")
+                raise UsageError(f"bad config line: {raw.rstrip()}")
             key, val = line.split("=", 1)
             out[key.strip()] = val.strip()
     return out
+
+
+def _convert(conv, key: str, text: str):
+    try:
+        return conv(text)
+    except ValueError:
+        raise UsageError(f"bad value for {key}: {text!r}") from None
+
+
+def _parse_grid(spec: str) -> tuple:
+    fields = spec.split(",")
+    if len(fields) != 5:
+        raise UsageError(f"bad value for grid: {spec!r} "
+                         "(expected re_min,re_max,im_min,im_max,n)")
+    re_min, re_max, im_min, im_max = (_convert(float, "grid", f)
+                                      for f in fields[:4])
+    n = _convert(int, "grid", fields[4])
+    if n < 1:
+        raise UsageError(f"bad value for grid: {spec!r} (n must be >= 1)")
+    return re_min, re_max, im_min, im_max, n
+
+
+def _check_tau(tau: complex) -> None:
+    try:
+        as_tau(tau)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def build_config(args) -> SuiteConfig:
@@ -58,35 +93,31 @@ def build_config(args) -> SuiteConfig:
     path = args.config or os.environ.get("THETAKIT_CONFIG")
     if path:
         file_cfg = load_config_file(path)
-    seed = args.seed if args.seed is not None else int(file_cfg.get("seed", 0))
-    jobs = args.jobs if args.jobs is not None else int(file_cfg.get("jobs", 1))
+    seed = (args.seed if args.seed is not None
+            else _convert(int, "seed", file_cfg.get("seed", "0")))
+    jobs = (args.jobs if args.jobs is not None
+            else _convert(int, "jobs", file_cfg.get("jobs", "1")))
     cfg = SuiteConfig(seed=seed, jobs=jobs)
     if args.catalog or file_cfg.get("catalog"):
         cfg.catalog_path = args.catalog or file_cfg["catalog"]
     grid_spec = args.grid or file_cfg.get("grid")
     if grid_spec:
-        re_min, re_max, im_min, im_max, n = grid_spec.split(",")
-        n = int(n)
+        re_min, re_max, im_min, im_max, n = _parse_grid(grid_spec)
         pts = []
         for k in range(n):
             frac = k / max(1, n - 1)
-            pts.append(complex(float(re_min) + (float(re_max) - float(re_min))
+            pts.append(complex(re_min + (re_max - re_min)
                                * ((k * 7) % n) / max(1, n - 1),
-                               float(im_min) + (float(im_max) - float(im_min))
-                               * frac))
+                               im_min + (im_max - im_min) * frac))
         cfg.grid = tuple(pts)
     for key, val in file_cfg.items():
         if key.startswith("tol."):
-            cfg.tolerances[key[4:]] = float(val)
+            cfg.tolerances[key[4:]] = _convert(float, key, val)
     if args.tol:
         for pair in args.tol:
             name, _, val = pair.partition("=")
-            cfg.tolerances[name] = float(val)
+            cfg.tolerances[name] = _convert(float, f"--tol {name}", val)
     return cfg
-
-
-def make_series_control(args) -> SeriesControl:
-    return SeriesControl()
 
 
 # --------------------------------------------------------------------------
@@ -137,6 +168,7 @@ def _eval_function(name: str, args) -> object:
 def cmd_eval(args) -> int:
     from .jets import Jet
 
+    _check_tau(args.tau)
     try:
         value = _eval_function(args.function, args)
     except ThetaKitError as exc:
@@ -158,6 +190,8 @@ def cmd_invert(args) -> int:
     from . import fuchs
     from . import painleve as pnl
 
+    if args.seed_tau is not None:
+        _check_tau(args.seed_tau)
     try:
         if args.kind == "x":
             tau = fuchs.invert_x_to_tau(args.value)
@@ -268,6 +302,9 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except ThetaKitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGENCE

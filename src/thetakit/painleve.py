@@ -115,10 +115,6 @@ def hitchin_y(A, B, tau, order: int = 5) -> Jet:
     return sqrt_x_jet(tau, order) * (t2 / (t1 ** 2)) * brace
 
 
-def hitchin_y_indexed(idx: PicardIndex, tau, order: int = 5) -> Jet:
-    return hitchin_y(idx.A, idx.B, tau, order)
-
-
 def weierstrass_eta_prime(tau) -> complex:
     """zeta(tau|tau) from the Legendre relation eta*tau - eta' = i pi / 2."""
     t = as_tau(tau)

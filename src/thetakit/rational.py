@@ -25,9 +25,13 @@ def _frac(x) -> Fraction:
 
 
 class Poly:
-    """Dense univariate polynomial with Fraction coefficients (ascending)."""
+    """Dense univariate polynomial with Fraction coefficients (ascending).
 
-    __slots__ = ("coeffs",)
+    Instances are immutable after ``__init__``: nothing assigns ``coeffs``
+    afterwards, which is what the cached float coefficients rely on.
+    """
+
+    __slots__ = ("coeffs", "_floats")
 
     def __init__(self, coeffs: Iterable):
         cs = [_frac(c) for c in coeffs]
@@ -36,6 +40,7 @@ class Poly:
         if not cs:
             cs = [Fraction(0)]
         self.coeffs = tuple(cs)
+        self._floats = None
 
     @property
     def degree(self) -> int:
@@ -136,21 +141,36 @@ class Poly:
         return self * (1 / self.coeffs[-1])
 
     def __call__(self, x):
-        """Horner evaluation; works for complex, Fraction, Poly, jets, ..."""
-        acc = None
-        for c in reversed(self.coeffs):
-            acc = c if acc is None else acc * x + c
-        return acc
+        """Horner evaluation; works for complex, Fraction, Poly, jets, ...
 
-    def shift_compose(self, inner):
-        """Exact composition self(inner) for Poly or RationalFunc inner."""
-        return self(inner)
+        An exact argument (int, Fraction, Poly, RationalFunc) gets the exact
+        coefficients.  Any other argument (float, complex, Jet) gets the
+        float coefficients, cached on first use: ``Fraction``'s mixed-type
+        arithmetic and ``Jet`` coercion round each coefficient to
+        ``float(c)`` anyway, so the result is bit-for-bit the same.  A
+        constant returns its exact coefficient.
+        """
+        cs = self.coeffs
+        if len(cs) > 1 and not isinstance(x, _EXACT):
+            if self._floats is None:
+                self._floats = tuple(float(c) for c in cs)
+            cs = self._floats
+        acc = cs[-1]
+        for c in cs[-2::-1]:
+            acc = acc * x + c
+        return acc
 
 
 class RationalFunc:
-    """Reduced ratio of two Polys; denominator kept monic."""
+    """Reduced ratio of two Polys; denominator kept monic.
 
-    __slots__ = ("num", "den")
+    Instances are immutable after ``__init__`` (nothing assigns ``num`` or
+    ``den`` afterwards), so ``derivative()`` is computed once and kept.
+    Evaluation at an inexact argument uses the cached float coefficients of
+    ``num`` and ``den`` (see ``Poly.__call__``).
+    """
+
+    __slots__ = ("num", "den", "_derivative")
 
     def __init__(self, num, den=(1,), *, reduce: bool = True):
         n = num if isinstance(num, Poly) else Poly(num)
@@ -169,6 +189,7 @@ class RationalFunc:
             d = d * inv
         self.num = n
         self.den = d
+        self._derivative = None
 
     def __repr__(self):
         return f"RationalFunc({list(self.num.coeffs)}, {list(self.den.coeffs)})"
@@ -218,9 +239,11 @@ class RationalFunc:
         return RationalFunc(self.num ** n, self.den ** n)
 
     def derivative(self) -> "RationalFunc":
-        return RationalFunc(self.num.derivative() * self.den
-                            - self.num * self.den.derivative(),
-                            self.den * self.den)
+        if self._derivative is None:
+            self._derivative = RationalFunc(
+                self.num.derivative() * self.den
+                - self.num * self.den.derivative(), self.den * self.den)
+        return self._derivative
 
     def compose(self, inner: "RationalFunc") -> "RationalFunc":
         """Exact composition self(inner(x)) as a RationalFunc."""
@@ -239,6 +262,10 @@ class RationalFunc:
 
     def __call__(self, x):
         return self.num(x) / self.den(x)
+
+
+# argument types at which Poly.__call__ keeps the exact coefficients
+_EXACT = (int, Fraction, Poly, RationalFunc)
 
 
 def _as_rational(x) -> RationalFunc:

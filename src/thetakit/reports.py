@@ -64,9 +64,6 @@ class Report:
             "checks": [self._row_dict(c) for c in self.checks],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, allow_nan=False)
-
     def csv_rows(self):
         for c in self.checks:
             resid = "" if c.residual != c.residual else repr(c.residual)

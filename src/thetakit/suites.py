@@ -487,11 +487,24 @@ def suite_fuchsian(cfg: SuiteConfig) -> Report:
 # --------------------------------------------------------------------------
 
 def _random_gamma1(rng, max_entry=20):
+    """A normalized random matrix of SL2(Z) with entries in
+    [-max_entry, max_entry] and c == 0 or d != 0, by rejection.
+
+    Each entry is ``rng.randrange(-max_entry, max_entry + 1)`` drawn the way
+    ``random.Random._randbelow_with_getrandbits`` draws it (k-bit words
+    until one is below the width), so the random stream is the same;
+    calling ``getrandbits`` directly skips randrange's per-call overhead.
+    """
+    width = 2 * max_entry + 1
+    k = width.bit_length()
+    getrandbits = rng.getrandbits
     while True:
-        a = rng.randrange(-max_entry, max_entry + 1)
-        b = rng.randrange(-max_entry, max_entry + 1)
-        c = rng.randrange(-max_entry, max_entry + 1)
-        d = rng.randrange(-max_entry, max_entry + 1)
+        ents = []
+        while len(ents) < 4:
+            r = getrandbits(k)
+            if r < width:
+                ents.append(r - max_entry)
+        a, b, c, d = ents
         if a * d - b * c == 1:
             m = mod.UnimodularMatrix(a, b, c, d).normalized()
             if m.c == 0 or m.d != 0:

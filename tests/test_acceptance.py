@@ -4,10 +4,12 @@ tolerance and runtime budget, printing one pass/fail line per criterion.
 Run with ``pytest tests/test_acceptance.py -v -s`` (or rely on the same
 checks through ``thetakit suite run all``)."""
 
+import json
 import time
+from pathlib import Path
 
-from thetakit.reports import Report
-from thetakit.suites import SUITES, SuiteConfig
+from thetakit.reports import Report, reports_to_json
+from thetakit.suites import SUITE_ORDER, SUITES, SuiteConfig
 
 CFG = SuiteConfig(seed=0)
 
@@ -219,3 +221,39 @@ def test_criterion_11_negative_controls():
           f"with residual above 1e-3 ({time.time() - t0:.2f}s)")
     assert not missing, f"suites without negative controls: {missing}"
     assert not weak, f"controls that failed to exceed the floor: {weak}"
+
+
+def test_golden_report_seed0():
+    """The seed-0 report of ``suite run all`` matches the committed one.
+
+    Every field is compared byte for byte except ``residual``, which may
+    grow to 10x its golden value, or to anything below tolerance/100.
+    The suites come from the ``run()`` cache, so nothing runs twice.
+    Regenerate the golden file (only when a report change is intended) with
+
+        PYTHONPATH=src python -m thetakit.cli suite run all --format json \\
+            --seed 0 > tests/data/report_seed0.json
+    """
+    golden_text = (Path(__file__).parent / "data" /
+                   "report_seed0.json").read_text()
+    golden = json.loads(golden_text)
+    got = json.loads(reports_to_json([run(name) for name in SUITE_ORDER]))
+    assert len(got["suites"]) == len(golden["suites"])
+    drifted, changed = [], []
+    for rep_got, rep_gold in zip(got["suites"], golden["suites"]):
+        assert len(rep_got["checks"]) == len(rep_gold["checks"]), \
+            rep_gold["suite"]
+        for row, gold in zip(rep_got["checks"], rep_gold["checks"]):
+            r, g = row["residual"], gold["residual"]
+            if g is None or r is None:
+                ok = r is g
+            else:
+                ok = r <= 10 * g or r < gold["tolerance"] / 100
+            if not ok:
+                drifted.append((rep_gold["suite"], gold["check_id"], r, g))
+            row["residual"] = g
+            if row != gold:
+                changed.append((rep_gold["suite"], gold["check_id"]))
+    assert not drifted, f"residuals above 10x golden: {drifted}"
+    assert not changed, f"rows that differ from the golden report: {changed}"
+    assert json.dumps(got, indent=2, allow_nan=False) + "\n" == golden_text

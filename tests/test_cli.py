@@ -114,3 +114,31 @@ def test_console_script_entry_point():
                           "list"], capture_output=True, text=True)
     assert out.returncode == 0
     assert "toroidal" in out.stdout
+
+
+@pytest.mark.parametrize("config,argv", [
+    ("seed=abc\n", []),
+    ("bad config line\n", []),
+    (None, ["--grid", "0,1,2,3,x"]),
+    (None, ["--grid", "0,1,1,2,0"]),
+    (None, ["--config", "/nonexistent/thetakit.conf"]),
+])
+def test_bad_suite_configuration_is_a_usage_error(config, argv, capsys,
+                                                  tmp_path):
+    if config is not None:
+        cfgfile = tmp_path / "conf"
+        cfgfile.write_text(config)
+        argv = argv + ["--config", str(cfgfile)]
+    code, out, err = run_main(["suite", "run", "theta"] + argv, capsys)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("tau", ["-1i", "0.3-0.1i"])
+def test_eval_tau_outside_upper_half_plane(tau, capsys):
+    code, out, err = run_main(["eval", "vartheta", f"--tau={tau}"], capsys)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error: tau must satisfy Im(tau) > 0")
+    assert err.count("\n") == 1

@@ -9,15 +9,28 @@ import pytest
 
 from thetakit import modular as mod
 from thetakit.painleve import PicardIndex, hauptmodul_x, picard_y
+from thetakit.suites import _random_gamma1
 
 
 def rand_matrix(rng, bound=20, want_d=True):
+    """randrange rejection sampling of SL2(Z); with want_d it is the
+    reference stream of ``suites._random_gamma1``."""
     while True:
         a, b, c, d = (rng.randrange(-bound, bound + 1) for _ in range(4))
         if a * d - b * c == 1:
             m = mod.UnimodularMatrix(a, b, c, d).normalized()
             if m.c == 0 or not want_d or m.d != 0:
                 return m
+
+
+@pytest.mark.parametrize("max_entry", [9, 10, 20])
+def test_random_gamma1_keeps_the_randrange_stream(max_entry):
+    for seed in range(20):
+        fast, ref = random.Random(seed), random.Random(seed)
+        for _ in range(2):
+            assert (_random_gamma1(fast, max_entry).entries()
+                    == rand_matrix(ref, max_entry).entries())
+        assert fast.getstate() == ref.getstate()
 
 
 def test_unimodular_basics():

@@ -3,8 +3,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from thetakit.errors import CatalogError
+from thetakit.jets import Jet
 from thetakit.rational import BivarPoly, Poly, RationalFunc, mobius
 
 
@@ -35,6 +37,64 @@ def test_rational_reduction_and_ops():
     assert mobius(1, 2, 3, 4)(Fraction(1)) == Fraction(3, 7)
     with pytest.raises(ZeroDivisionError):
         RationalFunc(Poly([1]), Poly([0]))
+
+
+def _fraction_horner(coeffs, x):
+    """Horner over the exact coefficients: the reference that the float
+    coefficients of ``Poly.__call__`` must reproduce bit for bit."""
+    acc = None
+    for c in reversed(coeffs):
+        acc = c if acc is None else acc * x + c
+    return acc
+
+
+_reals = st.floats(-4.0, 4.0)
+_zeros = st.sampled_from([0.0, -0.0])
+_complexes = st.builds(complex, _reals, _reals)
+_inexact_points = st.one_of(
+    _reals,
+    _complexes,
+    st.builds(complex, _zeros | _reals, _zeros),
+    st.builds(complex, _zeros, _reals),
+    st.builds(Jet, _complexes, st.lists(_complexes, min_size=1, max_size=4)),
+)
+
+
+@given(cs=st.lists(st.fractions(-50, 50, max_denominator=60), min_size=1,
+                   max_size=8),
+       x=_inexact_points)
+@settings(max_examples=50, deadline=None)
+def test_poly_inexact_evaluation_matches_fraction_horner(cs, x):
+    p = Poly(cs)
+    want = repr(_fraction_horner(p.coeffs, x))
+    assert repr(p(x)) == want
+    assert repr(p(x)) == want   # again, from the cached float coefficients
+
+
+def test_poly_exact_arguments_stay_exact():
+    p = Poly([Fraction(1, 3), -2, Fraction(5, 7)])
+    p(0.5 + 0.25j)   # fills the float cache first
+    x = Fraction(3, 2)
+    assert p(x) == Fraction(1, 3) - 2 * x + Fraction(5, 7) * x * x
+    assert isinstance(p(x), Fraction)
+    assert isinstance(p(2), Fraction)
+    assert p(2) == Fraction(1, 3) - 4 + Fraction(20, 7)
+    assert p(Poly([0, 1])) == p
+    assert p(Poly([1, 1])) == Poly([Fraction(1, 3) - 2 + Fraction(5, 7),
+                                    -2 + Fraction(10, 7), Fraction(5, 7)])
+    r = RationalFunc(Poly([0, 1]), Poly([1, 1]))
+    assert p(r) == Fraction(1, 3) - 2 * r + Fraction(5, 7) * r * r
+
+
+def test_rational_derivative_computed_once():
+    q = RationalFunc(Poly([1, -2, 0, Fraction(3, 4)]),
+                     Poly([Fraction(1, 2), 0, 1]))
+    d = q.derivative()
+    assert q.derivative() is d
+    n, den = q.num, q.den
+    assert d == RationalFunc(n.derivative() * den - n * den.derivative(),
+                             den * den)
+    assert d.derivative() is d.derivative()
 
 
 def test_bivar_partials_and_eval():
