@@ -1,26 +1,15 @@
 """Build hook for the optional compiled series kernel.
 
-The package is fully functional without the extension (a pure-Python
-kernel with identical semantics is selected at import time), so a missing
-compiler or Cython only costs speed, not correctness.
+The package is fully functional without the extension (the pure-Python
+kernel, which returns the same bits, is selected at import time), so a
+missing compiler only costs speed, not correctness.
+
+    python setup.py build_ext --inplace
 """
 
 from setuptools import Extension, setup
 
-try:
-    from Cython.Build import cythonize
-except ImportError:
-    ext_modules = []
-else:
-    ext_modules = cythonize(
-        [
-            Extension(
-                "thetakit._core",
-                ["src/thetakit/_core.pyx"],
-                extra_compile_args=["-O2"],
-            )
-        ],
-        language_level=3,
-    )
-
-setup(ext_modules=ext_modules)
+setup(ext_modules=[
+    Extension("thetakit._core", ["src/thetakit/_core.c"], optional=True,
+              extra_compile_args=["-ffp-contract=off"]),
+])

@@ -1,5 +1,9 @@
 """Kernel selection: compiled extension when present, pure Python otherwise.
 
+The two kernels return identical bits (tests/test_kernel_backends.py), so
+the choice changes speed, never a result.  The one difference is a limit:
+the compiled kernel raises ValueError for a jet order above 31.
+
 Set ``THETAKIT_PURE=1`` in the environment to force the pure-Python kernel
 (used by the benchmark and by tests that compare the two backends).
 """

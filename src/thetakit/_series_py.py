@@ -11,9 +11,11 @@ Everything transcendental in this package reduces to two bilateral sums:
 * the pentagonal-number sum, with the ``e^{i pi tau/12}`` prefactor folded
   into each term so that termwise tau-differentiation stays exact.
 
-The compiled extension ``thetakit._core`` implements the same two functions
-with the same summation order; this module is the always-available fallback
-and the semantic reference.
+The compiled extension ``thetakit._core`` (``_core.c``) implements the same
+two functions and returns the same bits: it performs every complex operation
+below in the same order and association, and tests/test_kernel_backends.py
+checks the identity.  This module is the always-available fallback and the
+semantic reference.
 """
 
 from cmath import exp, pi

@@ -97,6 +97,8 @@ def build_config(args) -> SuiteConfig:
             else _convert(int, "seed", file_cfg.get("seed", "0")))
     jobs = (args.jobs if args.jobs is not None
             else _convert(int, "jobs", file_cfg.get("jobs", "1")))
+    if jobs < 1:
+        raise UsageError(f"bad value for jobs: {jobs} (must be >= 1)")
     cfg = SuiteConfig(seed=seed, jobs=jobs)
     if args.catalog or file_cfg.get("catalog"):
         cfg.catalog_path = args.catalog or file_cfg["catalog"]
@@ -126,7 +128,6 @@ def build_config(args) -> SuiteConfig:
 
 def _eval_function(name: str, args) -> object:
     from . import catalog as cat
-    from . import fuchs
     from . import painleve as pnl
     from . import thetafuncs as th
 

@@ -47,16 +47,6 @@ class SeriesSolution:
 
     coefficients: tuple[Fraction, ...]
 
-    @property
-    def order(self) -> int:
-        return len(self.coefficients) - 1
-
-    def eval(self, r):
-        acc = None
-        for c in reversed(self.coefficients):
-            acc = c if acc is None else acc * r + c
-        return acc
-
 
 def _falling(n: int, j: int) -> int:
     out = 1

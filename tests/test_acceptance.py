@@ -5,6 +5,9 @@ Run with ``pytest tests/test_acceptance.py -v -s`` (or rely on the same
 checks through ``thetakit suite run all``)."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -257,3 +260,24 @@ def test_golden_report_seed0():
     assert not drifted, f"residuals above 10x golden: {drifted}"
     assert not changed, f"rows that differ from the golden report: {changed}"
     assert json.dumps(got, indent=2, allow_nan=False) + "\n" == golden_text
+
+
+def test_compiled_report_seed0(compiled_core, perfbench_child):
+    """The compiled kernel writes the pure kernel's seed-0 report, byte for
+    byte: perfbench's child runs ``suite run all --format json --seed 0``
+    on the kernel built from ``_core.c``, and the pure report is the one
+    serialized from the ``run()`` cache."""
+    root = Path(__file__).resolve().parents[1]
+    env = {k: v for k, v in os.environ.items() if k != "THETAKIT_PURE"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    env["PERFBENCH_CORE"] = str(compiled_core)
+    proc = subprocess.run([sys.executable, perfbench_child.__file__,
+                           "verify", "0"], capture_output=True, text=True,
+                          env=env, timeout=600)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    tag = perfbench_child.RESULT_TAG
+    result = json.loads(proc.stderr.rsplit(tag, 1)[-1])
+    assert result["backend"] == "compiled"
+    assert proc.stdout == reports_to_json(
+        [run(name) for name in SUITE_ORDER]) + "\n"

@@ -122,6 +122,9 @@ def test_console_script_entry_point():
     (None, ["--grid", "0,1,2,3,x"]),
     (None, ["--grid", "0,1,1,2,0"]),
     (None, ["--config", "/nonexistent/thetakit.conf"]),
+    (None, ["--jobs", "0"]),
+    (None, ["--jobs", "-3"]),
+    ("jobs = 0\n", []),
 ])
 def test_bad_suite_configuration_is_a_usage_error(config, argv, capsys,
                                                   tmp_path):
