@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+from cmath import exp, pi
 from dataclasses import dataclass
+
+_IPI = 1j * pi
 
 
 @dataclass(frozen=True)
@@ -46,9 +49,7 @@ class TauPoint:
             raise ValueError(f"tau must satisfy Im(tau) > 0, got {v}")
         # |e^{pi i tau}| < 1 is equivalent, but assert it explicitly: both
         # invariants must hold for every summation below.
-        import cmath
-
-        if not abs(cmath.exp(1j * cmath.pi * v)) < 1:
+        if not abs(exp(_IPI * v)) < 1:
             raise ValueError(f"nome magnitude is not < 1 at tau={v}")
 
 

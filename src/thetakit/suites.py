@@ -986,7 +986,7 @@ def suite_toroidal(cfg: SuiteConfig) -> Report:
     worst = max(tor.verify_torus_equation(1.4j),
                 tor.verify_torus_equation(0.3 + 1.2j))
     rep.add(_row("punctured-torus", "third-order equation of the continued "
-                 "inverse", "2 points", worst, cfg.tol("torus", 1e-6)))
+                 "inverse", "2 points", worst, cfg.tol("torus", 1e-9)))
     worst = 0.0
     lat_u = tor.exceptional_lattice()
     for tau in (1.4j, 1.1j):
@@ -998,7 +998,7 @@ def suite_toroidal(cfg: SuiteConfig) -> Report:
                  "2 points", worst, 1e-9))
     worst = max(tor.verify_lemniscatic(1.2j), tor.verify_lemniscatic(1.05j))
     rep.add(_row("lemniscatic-companion", "companion equation on the (4,0) "
-                 "lattice", "2 points", worst, 1e-6))
+                 "lattice", "2 points", worst, 1e-9))
     rep.add(_control("lemniscatic-wrong-lattice", "right side on a wrong "
                      "lattice", "tau=1.2i",
                      tor.verify_lemniscatic(1.2j, wrong_ratio=1.5j), 1e-2))
@@ -1007,7 +1007,7 @@ def suite_toroidal(cfg: SuiteConfig) -> Report:
         rep.add(_row(f"hyperelliptic-reduction:{'+' if branch > 0 else '-'}",
                      "differential and third-order equation of the reduction",
                      "tau=1.3i", max(r["differential"], r["fuchsian"],
-                                     r["wp_ode"]), 1e-6))
+                                     r["wp_ode"]), 1e-9))
     winners = []
     worst = 0.0
     pipe = 0.0

@@ -11,10 +11,11 @@ continuation, and the transcendental equations on punctured tori:
 * the transcendental cover pairing the two punctured tori, with its
   28-digit period constant.
 
-Branch-only quantities (the Newton-continued inverse of P) are
-differentiated by step-halved Richardson differences of their *analytic
-first derivative* udot = target_dot / P'(u), which keeps the noise of
-the third-derivative combination [u,tau] far below the tolerances.
+P is inverted from a closed-form start, Carlson's symmetric integral
+R_F(t - e1, t - e2, t - e3), polished by Newton.  The tau-jet of an
+inverse u = P^{-1}(t(tau)) on a fixed lattice is the jet of t composed
+with the exact derivatives of P^{-1}, so the third-order equations read
+[u,tau] off exact jets; nothing here uses finite differences.
 """
 
 from __future__ import annotations
@@ -25,10 +26,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .control import as_tau
-from .errors import BranchJumpError, NewtonError, PoleProximityError
+from .errors import BranchJumpError, NewtonError
 from .fuchs import heun_s_jet
-from .jets import jacobi_theta_jet, vartheta_jet
-from .thetafuncs import elliptic_constants, vartheta, weierstrass
+from .jets import Jet, jacobi_theta_jet, meromorphic_derivative, vartheta_jet
+from .thetafuncs import elliptic_constants, weierstrass
 
 # Constants of the exceptional torus: period ratio (imaginary axis),
 # half-period scale, invariants, and the Klein invariant value.
@@ -75,8 +76,11 @@ def lattice_invariants(lat: Lattice) -> tuple[complex, complex]:
     return ec.g2 / w ** 4, ec.g3 / w ** 6
 
 
-def klein_j(tau) -> complex:
-    return elliptic_constants(tau).J
+def klein_j_jet(tau, order: int = 1) -> Jet:
+    """J = (4/27) (x^2 - x + 1)^3 / (x^2 (x - 1)^2) with x = v4^4/v3^4,
+    as a tau-jet."""
+    x = (vartheta_jet(4, tau, order) / vartheta_jet(3, tau, order)) ** 4
+    return (4.0 / 27.0) * (x * x - x + 1.0) ** 3 / (x * x * (x - 1.0) ** 2)
 
 
 def invariants_to_lattice(g2: complex, g3: complex, *,
@@ -105,18 +109,17 @@ def invariants_to_lattice(g2: complex, g3: complex, *,
         for re in [x / 10.0 for x in range(-5, 6)]:
             for im in [0.75 + 0.15 * k for k in range(12)]:
                 t = complex(re, im)
-                d = abs(klein_j(t) - target)
+                d = abs(klein_j_jet(t, 0).value - target)
                 if best is None or d < best[0]:
                     best = (d, t)
         seed = best[1]
     tau = seed
     for _ in range(80):
-        ec = elliptic_constants(tau)
-        r = ec.J - target
+        jj = klein_j_jet(tau)
+        r = jj.value - target
         if abs(r) < 1e-13 * max(1.0, abs(target)):
             break
-        h = 1e-7
-        jd = (klein_j(tau + h) - ec.J) / h
+        jd = jj.d(1)
         if abs(jd) < 1e-14:
             raise NewtonError("J'(tau) degenerate during inversion")
         step = -r / jd
@@ -149,89 +152,88 @@ def wp_second_derivative(p_val: complex, lat: Lattice) -> complex:
     return 6.0 * p_val * p_val - 0.5 * g2
 
 
+def carlson_rf(x: complex, y: complex, z: complex) -> complex:
+    """Carlson's symmetric integral R_F(x, y, z) for complex arguments in
+    the plane cut along (-inf, 0], at most one of them zero, by the
+    duplication theorem (DLMF 19.36.1).  An argument on the cut takes its
+    value from the upper side."""
+    x, y, z = complex(x) + 0j, complex(y) + 0j, complex(z) + 0j
+    for _ in range(60):
+        a = (x + y + z) / 3.0
+        if max(abs(a - x), abs(a - y), abs(a - z)) < 2.5e-3 * abs(a):
+            break
+        sx, sy, sz = csqrt(x), csqrt(y), csqrt(z)
+        lam = sx * sy + sx * sz + sy * sz
+        x, y, z = (x + lam) / 4.0, (y + lam) / 4.0, (z + lam) / 4.0
+    a = (x + y + z) / 3.0
+    dx, dy = 1.0 - x / a, 1.0 - y / a
+    dz = -(dx + dy)
+    e2 = dx * dy - dz * dz
+    e3 = dx * dy * dz
+    return (1.0 - e2 / 10.0 + e3 / 14.0 + e2 * e2 / 24.0
+            - 3.0 * e2 * e3 / 44.0) / csqrt(a)
+
+
 def wp_inverse(target: complex, lat: Lattice, seed: complex | None = None, *,
                max_iter: int = 60, tol: float = 5e-15) -> complex:
     """Newton inversion of P on a lattice; quadratic convergence with P' as
     the derivative, with a square-root step through near-critical points
     (where P' ~ 0 the local model P(z) ~ e + P''(z-z_e)^2/2 applies).
 
-    Converges to machine precision and then polishes once more: the
-    branch-continued inverse feeds Richardson difference stencils, which
-    amplify any solver slack by inverse powers of the step.
+    Without a seed the start is z = R_F(t - e1, t - e2, t - e3), which
+    solves P(z) = t, reduced to lattice coordinates in [0, 2) x [0, 2).
+    Newton stops at tol after one more polishing step, or at the rounding
+    floor: once |P(z) - t| < 1e-12 max(1, |t|), the first step that does
+    not decrease it returns the iterate before that step.
     """
     target = complex(target)
     if seed is None:
         w = complex(lat.omega)
-        best = None
-        for a in [0.08 * k for k in range(1, 24)]:
-            for b in [0.08 * k for k in range(1, 24)]:
-                z = w * (a + b * complex(lat.ratio))
-                try:
-                    v = wp_lattice("P", z, lat)
-                except PoleProximityError:
-                    continue
-                d = abs(v - target)
-                if best is None or d < best[0]:
-                    best = (d, z)
-        seed = best[1]
+        ratio = complex(lat.ratio)
+        ec = elliptic_constants(ratio)
+        e1, e2, e3 = (e / (w * w) for e in (ec.e1, ec.e2, ec.e3))
+        c = carlson_rf(target - e1, target - e2, target - e3) / w
+        b = c.imag / ratio.imag
+        seed = w * ((c.real - b * ratio.real) % 2.0 + (b % 2.0) * ratio)
     z = complex(seed)
     scale = max(1.0, abs(target))
     polished = 0
+    floor = None
     for _ in range(max_iter):
-        f = wp_lattice("P", z, lat) - target
+        p = wp_lattice("P", z, lat)
+        f = p - target
         fp = wp_lattice("Pprime", z, lat)
-        if abs(f) < tol * scale:
+        af = abs(f)
+        if af < tol * scale:
             if polished or abs(fp) < 1e-7 * scale:
                 return z
             polished = 1
+        elif floor is not None and af >= floor[0]:
+            return floor[1]
+        floor = (af, z) if af < 1e-12 * scale else None
         if abs(fp) < 1e-7 * scale:
             # critical point: quadratic local model
-            fpp = wp_second_derivative(wp_lattice("P", z, lat), lat)
-            z = z + csqrt(-2.0 * f / fpp)
+            z = z + csqrt(-2.0 * f / wp_second_derivative(p, lat))
             continue
         z = z - f / fp
     raise NewtonError(f"wp_inverse did not converge for target {target}")
 
 
-# --------------------------------------------------------------------------
-# Richardson differentiation of branch-continued quantities
-# --------------------------------------------------------------------------
+def wp_inverse_jet(target: Jet, lat: Lattice,
+                   seed: complex | None = None) -> Jet:
+    """Jet of u = P^{-1}(target) on a fixed lattice, to order at most 3:
+    the target jet composed with the derivatives of the inverse,
 
-def richardson_d1(f, t0: complex, h: float = 1e-3) -> complex:
-    """First derivative by central differences at h, h/2, h/4 with
-    fourth-order extrapolation."""
-    def d(hh):
-        return (f(t0 + hh) - f(t0 - hh)) / (2.0 * hh)
+        u' = 1/P',  u'' = -P''/P'^3,  u''' = (3 P''^2 - P' P''')/P'^5,
 
-    d1, d2, d3 = d(h), d(h / 2.0), d(h / 4.0)
-    r1 = (4.0 * d2 - d1) / 3.0
-    r2 = (4.0 * d3 - d2) / 3.0
-    return (16.0 * r2 - r1) / 15.0
-
-
-def richardson_d2(f, t0: complex, h: float = 1e-3) -> complex:
-    """Second derivative by the 3-point stencil at h, h/2, h/4."""
-    f0 = f(t0)
-
-    def d(hh):
-        return (f(t0 + hh) - 2.0 * f0 + f(t0 - hh)) / (hh * hh)
-
-    d1, d2, d3 = d(h), d(h / 2.0), d(h / 4.0)
-    r1 = (4.0 * d2 - d1) / 3.0
-    r2 = (4.0 * d3 - d2) / 3.0
-    return (16.0 * r2 - r1) / 15.0
-
-
-def md_from_udot(udot_at, tau: complex, h: float = 5e-3) -> complex:
-    """[u,tau] from the analytic first derivative of a branch-continued u:
-
-        [u,tau] = u'''/u'^3 - (3/2) u''^2/u'^4,
-
-    with u'' and u''' obtained as Richardson derivatives of u'(tau)."""
-    ud = udot_at(tau)
-    udd = richardson_d1(udot_at, tau, h)
-    uddd = richardson_d2(udot_at, tau, h)
-    return uddd / ud ** 3 - 1.5 * udd * udd / ud ** 4
+    at P = target.value, with P'' = 6 P^2 - g2/2 and P''' = 12 P P'."""
+    u = wp_inverse(target.value, lat, seed)
+    p = target.value
+    p1 = wp_lattice("Pprime", u, lat)
+    p2 = wp_second_derivative(p, lat)
+    p3 = 12.0 * p * p1
+    return target.compose_scalar(
+        [u, 1.0 / p1, -p2 / p1 ** 3, (3.0 * p2 * p2 - p1 * p3) / p1 ** 5])
 
 
 # --------------------------------------------------------------------------
@@ -256,46 +258,27 @@ def torus_u(tau, lat: Lattice | None = None, *, u_prev: complex | None = None,
     return u
 
 
-def verify_torus_equation(tau, *, h: float = 5e-3) -> float:
+def verify_torus_equation(tau) -> float:
     """|[u,tau] + 2 P(2u) + 8/3| on the exceptional lattice."""
     t = as_tau(tau)
     lat = exceptional_lattice()
-    u_center = torus_u(t.value, lat)
-
-    def udot(tt: complex) -> complex:
-        u = wp_inverse(heun_s_jet(tt, 0).value - Fraction(10, 3), lat,
-                       seed=u_center)
-        sd = heun_s_jet(tt, 1).d(1)
-        return sd / wp_lattice("Pprime", u, lat)
-
-    md = md_from_udot(udot, t.value, h)
-    return abs(md + 2.0 * wp_lattice("P", 2.0 * u_center, lat) + 8.0 / 3.0)
+    u = wp_inverse_jet(heun_s_jet(t.value, 3) - Fraction(10, 3), lat)
+    return abs(meromorphic_derivative(u)
+               + 2.0 * wp_lattice("P", 2.0 * u.value, lat) + 8.0 / 3.0)
 
 
-def verify_lemniscatic(tau, *, h: float = 5e-3,
-                       wrong_ratio: complex | None = None) -> float:
+def verify_lemniscatic(tau, *, wrong_ratio: complex | None = None) -> float:
     """|[p,tau] + 2 P(2p|i)| with P(p|i) equal to v4^2/v3^2(tau).
 
     Passing ``wrong_ratio`` evaluates the right side on a different
     lattice (negative control)."""
     t = as_tau(tau)
     lat = lemniscatic_40_lattice()
-
-    def u_of(tt):
-        return (vartheta(4, tt) / vartheta(3, tt)) ** 2
-
-    p_center = wp_inverse(u_of(t.value), lat)
-
-    def pdot(tt: complex) -> complex:
-        p = wp_inverse(u_of(tt), lat, seed=p_center)
-        v3 = vartheta_jet(3, tt, 1)
-        v4 = vartheta_jet(4, tt, 1)
-        uj = (v4 / v3) ** 2
-        return uj.d(1) / wp_lattice("Pprime", p, lat)
-
-    md = md_from_udot(pdot, t.value, h)
+    p = wp_inverse_jet((vartheta_jet(4, t.value, 3)
+                        / vartheta_jet(3, t.value, 3)) ** 2, lat)
     rhs_lat = lat if wrong_ratio is None else Lattice(lat.omega, wrong_ratio)
-    return abs(md + 2.0 * wp_lattice("P", 2.0 * p_center, rhs_lat))
+    return abs(meromorphic_derivative(p)
+               + 2.0 * wp_lattice("P", 2.0 * p.value, rhs_lat))
 
 
 def z_hauptmodul_jet(tau, order: int = 5):
@@ -324,7 +307,7 @@ def equianharmonic_lattice() -> Lattice:
 KAPPA = 1j * math.sqrt(3.0)
 
 
-def verify_reduction_pzk(tau, branch: int = +1, *, h: float = 5e-3) -> dict:
+def verify_reduction_pzk(tau, branch: int = +1) -> dict:
     """Checks of the holomorphic reduction of the genus-2 pencil:
 
         P(u) = ((z + k)/(z - k))^2   (branch=+1;  k = i sqrt 3)
@@ -339,32 +322,17 @@ def verify_reduction_pzk(tau, branch: int = +1, *, h: float = 5e-3) -> dict:
     Fuchsian equation [u,tau] = -6 (2 P^3 + 1)/(P^2 P'^2)."""
     t = as_tau(tau)
     lat = equianharmonic_lattice()
-    sgn = 1.0 if branch >= 0 else -1.0
-
-    def target_of(zv: complex) -> complex:
-        return ((zv + sgn * KAPPA) / (zv - sgn * KAPPA)) ** 2
-
-    zj = z_hauptmodul_jet(t.value, 1)
-    u_center = wp_inverse(target_of(zj.value), lat)
-
-    def udot(tt: complex) -> complex:
-        zjj = z_hauptmodul_jet(tt, 1)
-        zv, zd = zjj.value, zjj.d(1)
-        tgt = target_of(zv)
-        u = wp_inverse(tgt, lat, seed=u_center)
-        tdot = 2.0 * ((zv + sgn * KAPPA) / (zv - sgn * KAPPA)) \
-            * (-2.0 * sgn * KAPPA * zd) / (zv - sgn * KAPPA) ** 2
-        return tdot / wp_lattice("Pprime", u, lat)
-
+    k = (1.0 if branch >= 0 else -1.0) * KAPPA
+    zj = z_hauptmodul_jet(t.value, 3)
+    u = wp_inverse_jet(((zj + k) / (zj - k)) ** 2, lat)
     zv, zd = zj.value, zj.d(1)
-    ud = udot(t.value)
-    lhs = csqrt(-sgn * KAPPA) * ud
-    rhs = (zv + sgn * KAPPA) * zd / csqrt(zv ** 5 - 10.0 * zv ** 3 + 9.0 * zv)
+    lhs = csqrt(-k) * u.d(1)
+    rhs = (zv + k) * zd / csqrt(zv ** 5 - 10.0 * zv ** 3 + 9.0 * zv)
     diff_resid = min(abs(lhs - rhs), abs(lhs + rhs)) / max(abs(rhs), 1e-30)
 
-    md = md_from_udot(udot, t.value, h)
-    pv = wp_lattice("P", u_center, lat)
-    ppv = wp_lattice("Pprime", u_center, lat)
+    md = meromorphic_derivative(u)
+    pv = wp_lattice("P", u.value, lat)
+    ppv = wp_lattice("Pprime", u.value, lat)
     fuchs_resid = abs(md + 6.0 * (2.0 * pv ** 3 + 1.0) / (pv ** 2 * ppv ** 2))
     ode_resid = abs(ppv ** 2 - (4.0 * pv ** 3 - 4.0))
     return {"differential": diff_resid, "fuchsian": fuchs_resid,

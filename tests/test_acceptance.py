@@ -194,12 +194,12 @@ def test_criterion_10_tori():
     assert next(c for c in rep.checks
                 if c.check_id == "period-constant").residual < 1e-13
     assert next(c for c in rep.checks
-                if c.check_id == "punctured-torus").residual < 1e-6
+                if c.check_id == "punctured-torus").residual < 1e-9
     assert next(c for c in rep.checks
-                if c.check_id == "lemniscatic-companion").residual < 1e-6
+                if c.check_id == "lemniscatic-companion").residual < 1e-9
     hyper = [c for c in rep.checks
              if c.check_id.startswith("hyperelliptic-reduction")]
-    assert hyper and max(c.residual for c in hyper) < 1e-6
+    assert hyper and max(c.residual for c in hyper) < 1e-9
     cover = next(c for c in rep.checks
                  if c.check_id == "transcendental-cover")
     assert cover.residual < 1e-5

@@ -11,6 +11,7 @@ from thetakit import (NonConvergenceError, PoleProximityError, SeriesControl,
                       elliptic_K_modular, elliptic_constants, eta1,
                       jacobi_theta, theta, theta1_prime, theta_dz, vartheta,
                       weierstrass)
+from thetakit.control import as_tau
 from thetakit.jets import theta_jet
 from thetakit.thetafuncs import dedekind_product, reduce_characteristics
 
@@ -236,3 +237,24 @@ def test_series_control_validation_and_nonconvergence():
     with pytest.raises(NonConvergenceError) as err:
         theta(ThetaSpec(0, 0), 0.0, tight)
     assert err.value.partial is not None
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("tau,message", [
+    (0j, "tau must satisfy Im(tau) > 0, got 0j"),
+    (0.3 - 0.1j, "tau must satisfy Im(tau) > 0, got (0.3-0.1j)"),
+    (-5, "tau must satisfy Im(tau) > 0, got (-5+0j)"),
+    (complex(1.0, NAN), "tau must satisfy Im(tau) > 0, got (1+nanj)"),
+    (complex(INF, NAN), "tau must satisfy Im(tau) > 0, got (inf+nanj)"),
+    (complex(NAN, 1.0), "nome magnitude is not < 1 at tau=(nan+1j)"),
+    (complex(-INF, 1.0), "nome magnitude is not < 1 at tau=(-inf+1j)"),
+    (complex(NAN, INF), "nome magnitude is not < 1 at tau=(nan+infj)"),
+    (1e-320j, "nome magnitude is not < 1 at tau=1e-320j"),
+])
+def test_tau_point_rejects(tau, message):
+    for make in (as_tau, TauPoint):
+        with pytest.raises(ValueError) as err:
+            make(tau)
+        assert str(err.value) == message

@@ -3,11 +3,17 @@ hyperelliptic reduction, and the transcendental cover with its tabulated
 constants."""
 
 import cmath
+from itertools import combinations
 
+import mpmath
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from thetakit import toroidal as tor
+from thetakit.jets import variable_jet
 from thetakit.thetafuncs import elliptic_constants, weierstrass
+
+from oracles import richardson_diff
 
 
 def test_exceptional_constants():
@@ -85,14 +91,15 @@ def test_branch_continuity_of_torus_inverse():
 
 
 def test_torus_equation():
-    assert tor.verify_torus_equation(1.4j) < 1e-6
-    assert tor.verify_torus_equation(0.3 + 1.2j) < 1e-6
+    assert tor.verify_torus_equation(1.4j) < 1e-9
+    assert tor.verify_torus_equation(0.3 + 1.2j) < 1e-9
 
 
 def test_lemniscatic_companion():
-    assert tor.verify_lemniscatic(1.2j) < 1e-6
-    assert tor.verify_lemniscatic(1.05j) < 1e-6
-    assert tor.verify_lemniscatic(1.2j, wrong_ratio=1.5j) > 1e-2
+    assert tor.verify_lemniscatic(1.2j) < 1e-9
+    assert tor.verify_lemniscatic(1.05j) < 1e-9
+    # the seedless inverse keeps the grid's lattice representative
+    assert tor.verify_lemniscatic(1.2j, wrong_ratio=1.5j) > 1.0
     # at the square point the Legendre ratio hits 2^{-1/2}
     from thetakit.thetafuncs import vartheta
 
@@ -103,8 +110,8 @@ def test_lemniscatic_companion():
 @pytest.mark.parametrize("branch", [+1, -1])
 def test_hyperelliptic_reduction(branch):
     rep = tor.verify_reduction_pzk(1.3j, branch)
-    assert rep["differential"] < 1e-6
-    assert rep["fuchsian"] < 1e-6
+    assert rep["differential"] < 1e-9
+    assert rep["fuchsian"] < 1e-9
     assert rep["wp_ode"] < 1e-9
 
 
@@ -121,13 +128,104 @@ def test_transcendental_cover():
     assert tor.verify_pu(1.5j, mismatched=True)["residual"] > 1e-2
 
 
-def test_richardson_helpers():
-    f = lambda t: cmath.exp(0.7j * t) * (t - 0.3) ** 2
-    t0 = 1.1 + 0.2j
-    d1 = tor.richardson_d1(f, t0, 1e-3)
-    d2 = tor.richardson_d2(f, t0, 1e-3)
-    exact1 = cmath.exp(0.7j * t0) * (0.7j * (t0 - 0.3) ** 2 + 2 * (t0 - 0.3))
-    exact2 = cmath.exp(0.7j * t0) * ((0.7j) ** 2 * (t0 - 0.3) ** 2
-                                     + 2 * 0.7j * 2 * (t0 - 0.3) + 2)
-    assert abs(d1 - exact1) < 1e-10
-    assert abs(d2 - exact2) < 1e-8
+_parts = st.floats(-10.0, 10.0)
+
+
+@given(st.lists(st.builds(complex, _parts, _parts), min_size=3, max_size=3))
+@settings(max_examples=100, deadline=None)
+def test_carlson_rf_matches_mpmath(args):
+    # mpmath takes principal values on the cut (-inf, 0] and reduces
+    # R_F(x, y, y) to R_C, whose branch differs off the real axis: keep the
+    # arguments off the cut and apart, where R_F is well conditioned
+    assume(not any(a.imag == 0 and a.real <= 0 for a in args))
+    assume(all(abs(a - b) > 1e-2 for a, b in combinations(args, 2)))
+    got = tor.carlson_rf(*args)
+    want = complex(mpmath.elliprf(*args))
+    assert abs(got - want) <= 1e-13 * abs(want)
+
+
+@pytest.mark.parametrize("x", [complex(-1.0, 0.0), complex(-1.0, -0.0)])
+def test_carlson_rf_on_the_cut_takes_the_upper_side(x):
+    want = complex(mpmath.elliprf(-1.0 + 1e-30j, 2.0, 3.0))
+    assert abs(tor.carlson_rf(x, 2.0 - 0.0j, 3.0) - want) < 1e-13 * abs(want)
+
+
+@given(omega=st.builds(complex, st.floats(0.3, 2.0), st.floats(-1.0, 1.0)),
+       ratio=st.builds(complex, st.floats(-0.5, 0.5), st.floats(0.5, 3.0)),
+       target=st.builds(complex, st.floats(-20.0, 20.0),
+                        st.floats(-20.0, 20.0)))
+@settings(max_examples=60, deadline=None)
+def test_wp_inverse_without_seed_on_random_lattices(omega, ratio, target):
+    lat = tor.Lattice(omega, ratio)
+    z = tor.wp_inverse(target, lat)
+    assert abs(tor.wp_lattice("P", z, lat) - target) \
+        <= 1e-12 * max(1.0, abs(target))
+
+
+def test_wp_inverse_without_seed_evaluates_p_at_most_20_times(monkeypatch):
+    calls = []
+
+    def counting(kind, *args, **kw):
+        calls.append(kind)
+        return weierstrass(kind, *args, **kw)
+
+    monkeypatch.setattr(tor, "weierstrass", counting)
+    lat = tor.exceptional_lattice()
+    z = tor.wp_inverse(1.7 - 0.4j, lat)
+    assert 0 < calls.count("P") <= 20
+    assert abs(tor.wp_lattice("P", z, lat) - (1.7 - 0.4j)) < 1e-13
+
+
+def test_wp_inverse_critical_point_branch(monkeypatch):
+    # seed at the half-period omega(1 + ratio), where P' vanishes, and
+    # target e1 = P(omega): the first step is the square-root step
+    lat = tor.exceptional_lattice()
+    seed = lat.omega * (1.0 + lat.ratio)
+    target = tor.wp_lattice("P", lat.omega, lat)
+    scale = max(1.0, abs(target))
+    assert abs(tor.wp_lattice("Pprime", seed, lat)) < 1e-7 * scale
+    steps = []
+    wp_second_derivative = tor.wp_second_derivative
+
+    def second_derivative(p_val, lat_):
+        steps.append(p_val)
+        return wp_second_derivative(p_val, lat_)
+
+    monkeypatch.setattr(tor, "wp_second_derivative", second_derivative)
+    z = tor.wp_inverse(target, lat, seed=seed)
+    assert steps
+    assert abs(tor.wp_lattice("P", z, lat) - target) < 1e-12 * scale
+
+
+_COEFFS = (1.7 - 0.4j, 0.6 + 0.3j, -0.25 + 0.1j, 0.05j)
+
+
+def _target_jet(tau, tau0):
+    """Order-3 jet at tau of the cubic sum_k c_k (tau - tau0)^k."""
+    h = variable_jet(tau, 3) - tau0
+    return ((_COEFFS[3] * h + _COEFFS[2]) * h + _COEFFS[1]) * h + _COEFFS[0]
+
+
+@pytest.mark.parametrize("lat,tau0", [
+    (tor.exceptional_lattice(), 1.3j),
+    (tor.Lattice(0.7 + 0.2j, 0.3 + 1.1j), 0.1 + 0.9j),
+])
+def test_wp_inverse_jet_matches_differences(lat, tau0):
+    u = tor.wp_inverse_jet(_target_jet(tau0, tau0), lat)
+    assert u.order == 3
+    assert abs(tor.wp_lattice("P", u.value, lat) - _COEFFS[0]) < 1e-13
+
+    def u_of(tau):
+        return tor.wp_inverse(_target_jet(tau, tau0).value, lat,
+                              seed=u.value)
+
+    def u2_of(tau):
+        return tor.wp_inverse_jet(_target_jet(tau, tau0), lat,
+                                  seed=u.value).d(2)
+
+    d1 = richardson_diff(u_of, tau0, 1e-3)
+    d2 = richardson_diff(u_of, tau0, 1e-3, order=2)
+    d3 = richardson_diff(u2_of, tau0, 1e-3)
+    assert abs(u.d(1) - d1) < 1e-9 * abs(d1)
+    assert abs(u.d(2) - d2) < 1e-7 * abs(d2)
+    assert abs(u.d(3) - d3) < 1e-8 * abs(d3)
