@@ -19,8 +19,8 @@ from .errors import (BranchJumpError, CatalogError, CriticalPointError,
                      PoleProximityError, ResonanceError, ThetaKitError)
 from .jets import (GeneratorState, Jet, MovingState, dedekind_jet, eta1_jet,
                    jacobi_theta_jet, md_transport_residual, md_transport,
-                   generator_ring_rhs, meromorphic_derivative, schwarzian_of_map,
-                   moving_ring_rhs, theta_jet, thetaprime_jet, vartheta_jet)
+                   generator_ring_rhs, meromorphic_derivative, moving_ring_rhs,
+                   theta_jet, thetaprime_jet, vartheta_jet)
 from .painleve import (P6Params, PicardIndex, hauptmodul_x, hitchin_y,
                        hitchin_y_original, okamoto, p6_residual, picard_y,
                        qxy_from_curve, wpform_residual)
@@ -40,7 +40,7 @@ __all__ = [
     "Jet", "GeneratorState", "MovingState", "theta_jet", "vartheta_jet",
     "jacobi_theta_jet", "thetaprime_jet", "dedekind_jet", "eta1_jet",
     "generator_ring_rhs", "moving_ring_rhs", "meromorphic_derivative",
-    "schwarzian_of_map", "md_transport", "md_transport_residual",
+    "md_transport", "md_transport_residual",
     "ThetaSpec", "theta", "theta_dz", "jacobi_theta", "vartheta",
     "theta1_prime", "dedekind_eta", "eta1", "weierstrass",
     "EllipticConstants", "elliptic_constants", "elliptic_K",

@@ -40,6 +40,7 @@ STANDARD_GRID = (
 )
 
 MAX_SKIPS = 2
+CHECK_KINDS = ("bound", "exact", "control", "skip")
 
 
 # --------------------------------------------------------------------------
@@ -314,13 +315,62 @@ def load_catalog(path: str | Path | None = None) -> dict[str, CurveEntry]:
 
 @dataclass
 class CheckRow:
+    """One row of a verification report; its verdict is decided here only.
+
+    ``kind`` selects the comparison of ``residual`` with ``tolerance``:
+
+    - ``bound``: passes when residual < tolerance;
+    - ``exact``: passes when residual <= tolerance (exact algebra, whose
+      tolerance is 0);
+    - ``control``: a negative control, a deliberately broken probe that
+      passes when residual > tolerance (its floor);
+    - ``skip``: a grid point that could not be evaluated (residual NaN);
+      it counts as skipped, not failed.
+
+    ``guard`` is a second condition that every verdict ANDs in: the one
+    convention of a Painleve residual that must vanish, the growth the
+    uncorrected connection must show, or a skip within ``MAX_SKIPS``.
+    """
+
     check_id: str
     ref: str
     inputs: str
     residual: float
     tolerance: float
-    passed: bool
     note: str = ""
+    kind: str = "bound"
+    guard: bool = True
+
+    def __post_init__(self):
+        if self.kind not in CHECK_KINDS:
+            raise ValueError(f"unknown check kind {self.kind!r}")
+        self.residual = float(self.residual)
+
+    @property
+    def passed(self) -> bool:
+        if self.kind == "bound":
+            ok = self.residual < self.tolerance
+        elif self.kind == "exact":
+            ok = self.residual <= self.tolerance
+        elif self.kind == "control":
+            ok = self.residual > self.tolerance
+        else:
+            ok = True
+        return ok and self.guard
+
+
+def negative_control(check_id, ref, inputs, residual, floor=1e-3,
+                     note=None) -> CheckRow:
+    """A deliberately broken probe, whose residual must exceed ``floor``."""
+    return CheckRow(check_id, ref, inputs, residual, floor,
+                    note or f"negative control: must exceed {floor:g}",
+                    kind="control")
+
+
+def _skipped(entry: CurveEntry, tau, exc, skips: int) -> CheckRow:
+    return CheckRow(f"{entry.id}@{tau}", entry.note, f"tau={tau}",
+                    float("nan"), entry.tol, note=f"skipped: {exc}",
+                    kind="skip", guard=skips <= MAX_SKIPS)
 
 
 def _run_recipe(name: str, tau: complex, order: int = 5) -> Jet:
@@ -345,18 +395,16 @@ def verify_entry(entry: CurveEntry, grid=STANDARD_GRID) -> list[CheckRow]:
             yv = _run_recipe(entry.vars[1], tau, 0).value
         except (PoleProximityError, ZeroDivisionError) as exc:
             skips += 1
-            rows.append(CheckRow(f"{entry.id}@{tau}", entry.note, f"tau={tau}",
-                                 float("nan"), entry.tol, skips <= MAX_SKIPS,
-                                 note=f"skipped: {exc}"))
+            rows.append(_skipped(entry, tau, exc, skips))
             continue
         fval = entry.F(xv, yv)
         scale = max(1.0, entry.F.max_term_magnitude(xv, yv))
         resid = abs(fval) / scale
         rows.append(CheckRow(f"{entry.id}@{tau}", entry.note, f"tau={tau}",
-                             resid, entry.tol, resid < entry.tol))
+                             resid, entry.tol))
     if skips > MAX_SKIPS:
         rows.append(CheckRow(f"{entry.id}:skips", entry.note, "grid",
-                             float(skips), MAX_SKIPS, False,
+                             skips, MAX_SKIPS,
                              note="too many skipped grid points"))
     return rows
 
@@ -373,17 +421,15 @@ def fuchsian_check(entry: CurveEntry, grid=STANDARD_GRID) -> list[CheckRow]:
             md = meromorphic_derivative(jet)
         except (PoleProximityError, ZeroDivisionError, ThetaKitError) as exc:
             skips += 1
-            rows.append(CheckRow(f"{entry.id}@{tau}", entry.note, f"tau={tau}",
-                                 float("nan"), entry.tol, skips <= MAX_SKIPS,
-                                 note=f"skipped: {exc}"))
+            rows.append(_skipped(entry, tau, exc, skips))
             continue
         qv = entry.Q(jet.value)
         resid = abs(md - qv) / max(1.0, abs(qv))
         rows.append(CheckRow(f"{entry.id}@{tau}", entry.note, f"tau={tau}",
-                             resid, entry.tol, resid < entry.tol))
+                             resid, entry.tol))
     if skips > MAX_SKIPS:
         rows.append(CheckRow(f"{entry.id}:skips", entry.note, "grid",
-                             float(skips), MAX_SKIPS, False,
+                             skips, MAX_SKIPS,
                              note="too many skipped grid points"))
     return rows
 
@@ -406,8 +452,8 @@ def dual_forms_agree(entry: CurveEntry, n_points: int = 20, rng=None
             continue
         worst = max(worst, abs(d))
     return CheckRow(f"{entry.id}:forms", entry.note, f"{n_points} rationals",
-                    float(worst), 0.0, worst == 0,
-                    note="exact rational comparison")
+                    worst, 0.0, note="exact rational comparison",
+                    kind="exact")
 
 
 # ---- birational transports -------------------------------------------------
@@ -469,7 +515,7 @@ def birational_check(which: str, grid=STANDARD_GRID) -> list[CheckRow]:
             raise CatalogError(f"unknown birational pair {which!r}")
         resid = max(curve, round_trip)
         rows.append(CheckRow(f"{which}@{tau}", f"birational pair {which}",
-                             f"tau={tau}", resid, tol, resid < tol))
+                             f"tau={tau}", resid, tol))
     return rows
 
 
@@ -487,7 +533,7 @@ def tower_identity_check(ident: str, grid=STANDARD_GRID, rng=None
             r = recipe_r6(tau, 0).value
             resid = abs(z - r * r)
             rows.append(CheckRow(f"psq@{tau}", "z is a perfect square",
-                                 f"tau={tau}", resid, 1e-9, resid < 1e-9))
+                                 f"tau={tau}", resid, 1e-9))
     elif ident == "duplication":
         for _ in range(10):
             z = complex(rng.uniform(-0.4, 0.4), rng.uniform(-0.3, 0.3))
@@ -499,7 +545,7 @@ def tower_identity_check(ident: str, grid=STANDARD_GRID, rng=None
             resid = abs(t2 ** 4 - t1 ** 4 - v2 ** 3 * t2_2z)
             rows.append(CheckRow(f"dup@{z:.2f},{tau:.2f}",
                                  "theta2^4 - theta1^4 = v2^3 theta2(2z)",
-                                 f"z={z}, tau={tau}", resid, 1e-11, resid < 1e-11))
+                                 f"z={z}, tau={tau}", resid, 1e-11))
     elif ident == "s-equality":
         # The theta-quotient form of s.  The index arrangement
         # t1^4(1/3) t3^4(1/6) / (t2^4(1/6) t4^4(1/6)) sometimes quoted for
@@ -517,7 +563,7 @@ def tower_identity_check(ident: str, grid=STANDARD_GRID, rng=None
             z = recipe_z6(tau, 0).value
             resid = max(abs(s1 - s2), abs(s1 - z * z))
             rows.append(CheckRow(f"s-eq@{tau}", "both s-forms and s = z^2",
-                                 f"tau={tau}", resid, 1e-10, resid < 1e-10))
+                                 f"tau={tau}", resid, 1e-10))
     elif ident == "xuni":
         for tau in grid:
             p = recipe_p(tau, 0).value
@@ -526,7 +572,7 @@ def tower_identity_check(ident: str, grid=STANDARD_GRID, rng=None
             bx2 = recipe_bigx(tau, 0).value
             resid = abs(bx - bx2)
             rows.append(CheckRow(f"xuni@{tau}", "prime-form quotient for x",
-                                 f"tau={tau}", resid, 1e-10, resid < 1e-10))
+                                 f"tau={tau}", resid, 1e-10))
     elif ident == "prop4-J":
         for tau in grid:
             s = recipe_s(tau, 0).value
@@ -535,7 +581,7 @@ def tower_identity_check(ident: str, grid=STANDARD_GRID, rng=None
                   / (1728.0 * s * (s - 1.0) ** 6 * (s - 9.0) ** 2))
             resid = abs(j1 - j2) / max(1.0, abs(j1))
             rows.append(CheckRow(f"prop4@{tau}", "level-3 representation of J",
-                                 f"tau={tau}", resid, 1e-9, resid < 1e-9))
+                                 f"tau={tau}", resid, 1e-9))
     else:
         raise CatalogError(f"unknown tower identity {ident!r}")
     return rows
@@ -606,7 +652,7 @@ def icosa_transport_checks(grid=STANDARD_GRID, rng=None) -> list[CheckRow]:
         t = complex(rng.uniform(-3, 3), rng.uniform(0.3, 2.0))
         worst = max(worst, abs(ICOSA_X_OF_T(t) - PICARD_X_OF_TT(Z_OF_T(t))))
     rows.append(CheckRow("icosa:x-match", "both rational x-parametrizations",
-                         "10 random T", worst, 1e-12, worst < 1e-12))
+                         "10 random T", worst, 1e-12))
     # transport of the T-equation onto the z-equation (Moebius map,
     # so the Schwarzian part vanishes)
     worst = 0.0
@@ -614,7 +660,7 @@ def icosa_transport_checks(grid=STANDARD_GRID, rng=None) -> list[CheckRow]:
         t = complex(rng.uniform(-3, 3), rng.uniform(0.3, 2.0))
         worst = max(worst, abs(md_transport_residual(QZ, Q_ICOSA, Z_OF_T, t)))
     rows.append(CheckRow("icosa:transport", "T-equation maps onto the z-equation",
-                         "10 random T", worst, 1e-11, worst < 1e-11))
+                         "10 random T", worst, 1e-11))
     # tau-side: T(tau) from the Picard pair satisfies the T-equation
     for tau in grid[:4]:
         x = recipe_x(tau, 5)
@@ -623,12 +669,12 @@ def icosa_transport_checks(grid=STANDARD_GRID, rng=None) -> list[CheckRow]:
         t_jet = (tt + 3.0) / (tt - 3.0)
         resid = abs(meromorphic_derivative(t_jet) - Q_ICOSA(t_jet.value))
         rows.append(CheckRow(f"icosa:fuchs@{tau}", "T-equation along tau",
-                             f"tau={tau}", resid, 1e-8, resid < 1e-8))
+                             f"tau={tau}", resid, 1e-8))
         # the non-Picard solution as a rational function on the Picard curve
         yb = icosa_y_from_level3(x.value, yt.value)
         resid2 = abs(yb - ICOSA_Y_OF_T(t_jet.value))
         rows.append(CheckRow(f"icosa:y@{tau}", "transported solution matches",
-                             f"tau={tau}", resid2, 1e-9, resid2 < 1e-9))
+                             f"tau={tau}", resid2, 1e-9))
     return rows
 
 
@@ -675,17 +721,17 @@ def tetra_checks(grid=STANDARD_GRID, rng=None) -> list[CheckRow]:
         t = complex(rng.uniform(-3, 3), rng.uniform(0.3, 2.0))
         worst = max(worst, abs(md_transport_residual(qb, Q_TETRA, square, t)))
     rows.append(CheckRow("tetra:transport", "squared-parameter reduction",
-                         "10 random T", worst, 1e-11, worst < 1e-11))
+                         "10 random T", worst, 1e-11))
     # tau-side Fuchsian residuals for T and b = T^2
     for tau in grid[:3]:
         tj = _tetra_t_jet(tau)
         resid = abs(meromorphic_derivative(tj) - Q_TETRA(tj.value))
         rows.append(CheckRow(f"tetra:fuchsT@{tau}", "tetrahedral T-equation",
-                             f"tau={tau}", resid, 1e-8, resid < 1e-8))
+                             f"tau={tau}", resid, 1e-8))
         bj = tj * tj
         residb = abs(meromorphic_derivative(bj) - qb(bj.value))
         rows.append(CheckRow(f"tetra:fuchsB@{tau}", "squared-parameter equation",
-                             f"tau={tau}", residb, 1e-8, residb < 1e-8))
+                             f"tau={tau}", residb, 1e-8))
         # the quartic tying the tetrahedral and Picard rational parameters
         x = recipe_x(tau, 0).value
         yt = recipe_ytilde(tau, 0).value
@@ -695,7 +741,7 @@ def tetra_checks(grid=STANDARD_GRID, rng=None) -> list[CheckRow]:
         scale = max(abs(tt) ** 4, abs(4.0 * (t ** 3 - 3.0 * t) * tt ** 3), 27.0)
         residx = abs(xi) / scale
         rows.append(CheckRow(f"tetra:xi@{tau}", "parameter-pair quartic",
-                             f"tau={tau}", residx, 1e-8, residx < 1e-8))
+                             f"tau={tau}", residx, 1e-8))
     return rows
 
 
@@ -721,18 +767,17 @@ def reference_invariant_checks() -> list[CheckRow]:
     j_tor = cubic_j_invariant(Fraction(-13, 3), Fraction(70, 27), Fraction(1))
     rows.append(CheckRow("J:tor", "quartic-torus invariant", "exact",
                          0.0 if j_tor == Fraction(2197, 972) else 1.0,
-                         0.0, j_tor == Fraction(2197, 972),
-                         note=f"J = {j_tor}"))
+                         0.0, note=f"J = {j_tor}", kind="exact"))
     # tetrahedral-pair torus: v^2 = 4u^3 - 48u + 80
     j_ex8 = cubic_j_invariant(Fraction(-48), Fraction(80))
     rows.append(CheckRow("J:ex8", "tetrahedral-pair torus invariant", "exact",
                          0.0 if j_ex8 == Fraction(-16, 9) else 1.0,
-                         0.0, j_ex8 == Fraction(-16, 9), note=f"J = {j_ex8}"))
+                         0.0, note=f"J = {j_ex8}", kind="exact"))
     # genus-5 cover torus: w^2 = z^3 - 12 z - 11
     j_g5 = cubic_j_invariant(Fraction(-12), Fraction(-11), Fraction(1))
     rows.append(CheckRow("J:g5-cover", "genus-5 cover torus invariant", "exact",
                          0.0 if j_g5 == Fraction(256, 135) else 1.0,
-                         0.0, j_g5 == Fraction(256, 135), note=f"J = {j_g5}"))
+                         0.0, note=f"J = {j_g5}", kind="exact"))
     return rows
 
 
@@ -756,7 +801,7 @@ def legendre_z_chain_check(rng=None, n_points: int = 10) -> CheckRow:
         z0 = complex(rng.uniform(1.2, 2.6), rng.uniform(0.4, 1.6))
         worst = max(worst, abs(md_transport_residual(K2_Q, QZ, X_OF_Z, z0)))
     return CheckRow("x-of-z", "quadratic chain from z to the Legendre square",
-                    f"{n_points} random z", worst, 1e-11, worst < 1e-11)
+                    f"{n_points} random z", worst, 1e-11)
 
 
 def exceptional_heun_equivalence_check(rng=None, n_points: int = 10) -> CheckRow:
@@ -819,5 +864,5 @@ def exceptional_heun_equivalence_check(rng=None, n_points: int = 10) -> CheckRow
         resid = abs(qv - md - q_nine(x0) / X_jet.d(1) ** 2) / max(1.0, abs(qv))
         worst = max(worst, resid)
     return CheckRow("hypergeometric-pair", "equivalence on the genus-1 curve",
-                    f"{n_points} on-curve points", worst, 1e-10, worst < 1e-10,
+                    f"{n_points} on-curve points", worst, 1e-10,
                     note="accompanying gauge: Y = (x-1)^(4/3) y")

@@ -42,8 +42,12 @@ def parse_complex(text: str) -> complex:
         raise argparse.ArgumentTypeError(f"cannot parse complex number {text!r}")
 
 
+CONFIG_KEYS = ("seed", "grid", "catalog")
+
+
 def load_config_file(path: str) -> dict:
-    """Simple key=value configuration; '#' starts a comment."""
+    """Simple key=value configuration; '#' starts a comment.  The keys are
+    ``seed``, ``grid``, ``catalog`` and ``tol.<suite>``."""
     out = {}
     try:
         fh = open(path)
@@ -57,7 +61,11 @@ def load_config_file(path: str) -> dict:
             if "=" not in line:
                 raise UsageError(f"bad config line: {raw.rstrip()}")
             key, val = line.split("=", 1)
-            out[key.strip()] = val.strip()
+            key = key.strip()
+            if key not in CONFIG_KEYS and not key.startswith("tol."):
+                raise UsageError(f"unknown config key {key!r}; known: "
+                                 f"{', '.join(CONFIG_KEYS)}, tol.<suite>")
+            out[key] = val.strip()
     return out
 
 
@@ -81,6 +89,13 @@ def _parse_grid(spec: str) -> tuple:
     return re_min, re_max, im_min, im_max, n
 
 
+def _tolerance(name: str, text: str, label: str) -> float:
+    if name not in SUITE_ORDER:
+        raise UsageError(f"unknown suite in {label}: {name!r}; known: "
+                         f"{', '.join(SUITE_ORDER)}")
+    return _convert(float, label, text)
+
+
 def _check_tau(tau: complex) -> None:
     try:
         as_tau(tau)
@@ -95,11 +110,7 @@ def build_config(args) -> SuiteConfig:
         file_cfg = load_config_file(path)
     seed = (args.seed if args.seed is not None
             else _convert(int, "seed", file_cfg.get("seed", "0")))
-    jobs = (args.jobs if args.jobs is not None
-            else _convert(int, "jobs", file_cfg.get("jobs", "1")))
-    if jobs < 1:
-        raise UsageError(f"bad value for jobs: {jobs} (must be >= 1)")
-    cfg = SuiteConfig(seed=seed, jobs=jobs)
+    cfg = SuiteConfig(seed=seed)
     if args.catalog or file_cfg.get("catalog"):
         cfg.catalog_path = args.catalog or file_cfg["catalog"]
     grid_spec = args.grid or file_cfg.get("grid")
@@ -114,11 +125,10 @@ def build_config(args) -> SuiteConfig:
         cfg.grid = tuple(pts)
     for key, val in file_cfg.items():
         if key.startswith("tol."):
-            cfg.tolerances[key[4:]] = _convert(float, key, val)
-    if args.tol:
-        for pair in args.tol:
-            name, _, val = pair.partition("=")
-            cfg.tolerances[name] = _convert(float, f"--tol {name}", val)
+            cfg.suite_tolerances[key[4:]] = _tolerance(key[4:], val, key)
+    for pair in args.tol or ():
+        name, _, val = pair.partition("=")
+        cfg.suite_tolerances[name] = _tolerance(name, val, f"--tol {name}")
     return cfg
 
 
@@ -237,35 +247,28 @@ def build_parser() -> argparse.ArgumentParser:
                     "Painleve-6 solution families and their uniformized curves.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="key=value config file "
-                        "(or env THETAKIT_CONFIG)")
-    common.add_argument("--seed", type=int, default=None,
-                        help="random seed for the sampled checks (default 0)")
-    common.add_argument("--jobs", type=int, default=None,
-                        help="parallel suite execution cap (default 1)")
-    common.add_argument("--catalog", help="path to an alternative curve "
-                        "catalog file")
-    common.add_argument("--grid", help="re_min,re_max,im_min,im_max,n "
-                        "override for the verification grid")
-    common.add_argument("--tol", action="append",
-                        help="suite tolerance override name=value "
-                             "(repeatable)")
-
-    sp = sub.add_parser("suite", help="run verification suites",
-                        parents=[common])
+    sp = sub.add_parser("suite", help="run verification suites")
     ssub = sp.add_subparsers(dest="suite_command", required=True)
-    sr = ssub.add_parser("run", help="run a named suite (or 'all')",
-                         parents=[common])
+    sr = ssub.add_parser("run", help="run a named suite (or 'all')")
     sr.add_argument("name", help=f"one of: {', '.join(SUITE_ORDER)}, all")
     sr.add_argument("--format", choices=("text", "json", "csv"),
                     default="text")
+    sr.add_argument("--config", help="key=value config file "
+                    "(or env THETAKIT_CONFIG)")
+    sr.add_argument("--seed", type=int, default=None,
+                    help="random seed for the sampled checks (default 0)")
+    sr.add_argument("--catalog", help="path to an alternative curve "
+                    "catalog file")
+    sr.add_argument("--grid", help="re_min,re_max,im_min,im_max,n "
+                    "override for the verification grid")
+    sr.add_argument("--tol", action="append", metavar="SUITE=VALUE",
+                    help="tolerance of every non-control row of SUITE "
+                         "(repeatable)")
     sr.set_defaults(func=cmd_suite)
     sl = ssub.add_parser("list", help="list suite names")
     sl.set_defaults(func=lambda a: (print("\n".join(SUITE_ORDER)), EXIT_PASS)[1])
 
-    ev = sub.add_parser("eval", help="evaluate a named function",
-                        parents=[common])
+    ev = sub.add_parser("eval", help="evaluate a named function")
     ev.add_argument("function",
                     help="theta|theta1..theta4|thetaprime|vartheta|dedekind|"
                          "eta|wp|wp-prime|wp-zeta|K|Kprime|E|Eprime|"

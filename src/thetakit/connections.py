@@ -100,19 +100,10 @@ def identity_residuals(cj: ConnectionJet, q: RationalFunc, x0: complex
     return r1, r2
 
 
-def chazy_residual(tau) -> float:
+def chazy_residual(tau, coefficient: complex = 12j) -> float:
     """Relative residual of pi eta''' = 12 i (2 eta eta'' - 3 eta'^2),
-    with the eta-jet from exact termwise differentiation."""
-    ej = eta1_jet(tau, 3)
-    e0, e1, e2, e3 = ej.value, ej.d(1), ej.d(2), ej.d(3)
-    lhs = pi * e3
-    rhs = 12j * (2.0 * e0 * e2 - 3.0 * e1 * e1)
-    return abs(lhs - rhs) / max(abs(lhs), abs(rhs))
-
-
-def chazy_residual_scaled(tau, coefficient: complex) -> float:
-    """Chazy residual with the right-hand coefficient replaced (the
-    negative control uses 13i in place of 12i)."""
+    with the eta-jet from exact termwise differentiation.  ``coefficient``
+    replaces the 12i (the negative control uses 13i)."""
     ej = eta1_jet(tau, 3)
     e0, e1, e2, e3 = ej.value, ej.d(1), ej.d(2), ej.d(3)
     lhs = pi * e3
@@ -417,11 +408,6 @@ def heun_hidden_connection_residual(tau) -> float:
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs))
 
 
-TETRA_X_OF_T = RationalFunc(
-    Poly([-1, 1]) ** 2 * Poly([2, 1]),
-    Poly([1, 1]) ** 2 * Poly([-2, 1]))
-
-
 def conical_growth_check(radii=(0.08, 0.04, 0.02, 0.01)) -> dict:
     """Corrected vs uncorrected connection growth near a conical point.
 
@@ -430,6 +416,7 @@ def conical_growth_check(radii=(0.08, 0.04, 0.02, 0.01)) -> dict:
     x = -1.  Along a ray approaching that point the uncorrected connection
     of b blows up while the conically corrected one stays bounded.
     """
+    from .catalog import TETRA_X_OF_T
     from .painleve import hauptmodul_x
 
     # locate tau* with x(tau*) = -1 by Newton on the x-jet

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from cmath import exp, pi
+from cmath import exp, isfinite, pi
 from dataclasses import dataclass
 
 _IPI = 1j * pi
@@ -51,6 +51,9 @@ class TauPoint:
         # invariants must hold for every summation below.
         if not abs(exp(_IPI * v)) < 1:
             raise ValueError(f"nome magnitude is not < 1 at tau={v}")
+        # Im tau = +inf passes both tests above (the nome underflows to 0)
+        if not isfinite(v):
+            raise ValueError(f"tau must be finite, got {v}")
 
 
 def as_tau(tau) -> TauPoint:

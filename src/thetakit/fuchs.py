@@ -8,7 +8,7 @@ point enters only when a transcendental function is finally evaluated.
 
 from __future__ import annotations
 
-from cmath import pi, sqrt as csqrt
+from cmath import pi
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -293,22 +293,6 @@ def heun_psi(tau) -> tuple[complex, complex]:
         raise ThetaKitError("Heun basis denominator vanishes (cusp)")
     psi1 = (v3_3t ** 3 / v3) * v2_half ** 4 / den
     return psi1, t.value * psi1
-
-
-def heun_sk_closed_form(tau, a_b: tuple[complex, complex]) -> complex:
-    """Closed hypergeometric form of the Heun solution:
-
-        (s (s-1)^2 (s-9)^2)^{1/4} { A K(sqrt(x)) + B K'(sqrt(x)) },
-        x = (1/16)(3 s^{-1/2} + 1)(sqrt(s) - 1)^3,
-
-    principal branches; reliable on the imaginary-axis strip where
-    s lies in (1, 9)."""
-    s = heun_s_jet(tau, 0).value
-    rs = csqrt(s)
-    x = (3.0 / rs + 1.0) * (rs - 1.0) ** 3 / 16.0
-    amp = (s * (s - 1.0) ** 2 * (s - 9.0) ** 2) ** 0.25
-    a, b = a_b
-    return amp * (a * elliptic_K("K", x) + b * elliptic_K("Kprime", x))
 
 
 # --------------------------------------------------------------------------

@@ -391,18 +391,6 @@ def meromorphic_derivative(x: Jet) -> complex:
     return xddd / xd ** 3 - 1.5 * xdd * xdd / xd ** 4
 
 
-def md_jet(x: Jet) -> Jet:
-    """Jet of [x,tau] (order drops by 3)."""
-    if x.order < 3:
-        raise ValueError("needs order >= 3")
-    d1 = x.derivative()
-    d2 = d1.derivative()
-    d3 = d2.derivative()
-    n = x.order - 3
-    d1, d2, d3 = d1.truncate(n), d2.truncate(n), d3.truncate(n)
-    return d3 / d1 ** 3 - 1.5 * d2 * d2 / d1 ** 4
-
-
 def rational_md(R: RationalFunc, x0: complex) -> complex:
     """[R(x), x] at x0 from exact rational derivatives of R."""
     r1 = R.derivative()
@@ -414,11 +402,6 @@ def rational_md(R: RationalFunc, x0: complex) -> complex:
     d2 = r2(x0)
     d3 = r3(x0)
     return d3 / d1 ** 3 - 1.5 * d2 * d2 / d1 ** 4
-
-
-def schwarzian_of_map(R: RationalFunc, x0: complex) -> complex:
-    """{R,x}/R'^2 evaluated exactly; zero for Moebius maps."""
-    return rational_md(R, x0)
 
 
 def md_transport(q_src, R: RationalFunc):

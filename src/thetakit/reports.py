@@ -11,7 +11,7 @@ import io
 import json
 from dataclasses import dataclass, field
 
-from .catalog import CheckRow
+from .catalog import MAX_SKIPS, CheckRow
 
 CSV_FIELDS = ("suite", "check_id", "ref", "inputs", "residual",
               "tolerance", "pass", "note")
@@ -21,7 +21,6 @@ CSV_FIELDS = ("suite", "check_id", "ref", "inputs", "residual",
 class Report:
     suite: str
     checks: list[CheckRow] = field(default_factory=list)
-    max_skips: int = 2
 
     def add(self, rows):
         if isinstance(rows, CheckRow):
@@ -31,16 +30,15 @@ class Report:
 
     @property
     def skipped(self) -> list[CheckRow]:
-        return [c for c in self.checks if c.note.startswith("skipped")]
+        return [c for c in self.checks if c.kind == "skip"]
 
     @property
     def failed(self) -> list[CheckRow]:
-        return [c for c in self.checks
-                if not c.passed and not c.note.startswith("skipped")]
+        return [c for c in self.checks if c.kind != "skip" and not c.passed]
 
     @property
     def passed(self) -> bool:
-        return not self.failed and len(self.skipped) <= self.max_skips
+        return not self.failed and len(self.skipped) <= MAX_SKIPS
 
     def _row_dict(self, c: CheckRow) -> dict:
         resid = c.residual
@@ -96,9 +94,7 @@ def summary_lines(reports: list[Report]) -> list[str]:
     for rep in reports:
         mark = "PASS" if rep.passed else "FAIL"
         worst = max((c.residual for c in rep.checks if c.residual == c.residual
-                     and not c.note.startswith(("negative control",
-                                                "growth check"))),
-                    default=float("nan"))
+                     and c.kind != "control"), default=float("nan"))
         lines.append(f"[{mark}] {rep.suite}: {len(rep.checks)} checks, "
                      f"{len(rep.failed)} failed, {len(rep.skipped)} skipped, "
                      f"worst residual {worst:.3e}")

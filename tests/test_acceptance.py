@@ -12,7 +12,7 @@ import time
 from pathlib import Path
 
 from thetakit.reports import Report, reports_to_json
-from thetakit.suites import SUITE_ORDER, SUITES, SuiteConfig
+from thetakit.suites import SUITE_ORDER, SUITES, SuiteConfig, run_suite
 
 CFG = SuiteConfig(seed=0)
 
@@ -26,17 +26,14 @@ def run(name: str) -> Report:
 
 
 def criterion(number: int, label: str, started: float, budget: float,
-              reports, residual_cap=None,
-              exclude_notes=("negative control", "growth check")):
+              reports, residual_cap=None):
     elapsed = time.time() - started
     reports = reports if isinstance(reports, list) else [reports]
     failed = [c for r in reports for c in r.failed]
     worst = 0.0
     for r in reports:
         for c in r.checks:
-            if any(c.note.startswith(p) for p in exclude_notes):
-                continue
-            if c.residual == c.residual:
+            if c.kind != "control" and c.residual == c.residual:
                 worst = max(worst, c.residual)
     ok = not failed and elapsed < budget
     if residual_cap is not None:
@@ -212,8 +209,7 @@ def test_criterion_11_negative_controls():
     weak = []
     for name in SUITES:
         rep = run(name)
-        controls = [c for c in rep.checks
-                    if c.note.startswith("negative control")]
+        controls = [c for c in rep.checks if c.kind == "control"]
         if not controls:
             missing.append(name)
         for c in controls:
@@ -224,6 +220,24 @@ def test_criterion_11_negative_controls():
           f"with residual above 1e-3 ({time.time() - t0:.2f}s)")
     assert not missing, f"suites without negative controls: {missing}"
     assert not weak, f"controls that failed to exceed the floor: {weak}"
+
+
+def test_suite_tolerance_reaches_every_row_but_controls():
+    """``tol.<suite>`` replaces the tolerance of every row of its suite,
+    so 1e-30 fails every suite; a control keeps its floor and passes."""
+    cfg = SuiteConfig(seed=0,
+                      suite_tolerances={name: 1e-30 for name in SUITE_ORDER})
+    reports = run_suite("all", cfg)
+    assert [r.suite for r in reports] == list(SUITE_ORDER)
+    for rep in reports:
+        assert not rep.passed, rep.suite
+        for row, plain in zip(rep.checks, run(rep.suite).checks):
+            assert row.check_id == plain.check_id
+            if row.kind == "control":
+                assert row.tolerance == plain.tolerance and row.passed
+            elif row.kind != "skip":
+                assert row.tolerance == 1e-30
+                assert row.passed == (row.residual == 0.0), row.check_id
 
 
 def test_golden_report_seed0():

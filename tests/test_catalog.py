@@ -180,3 +180,54 @@ def test_unknown_recipe_and_kind_errors(entries):
         cat.birational_check("nonsense")
     with pytest.raises(CatalogError):
         cat.tower_identity_check("nonsense")
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("kind,residual,tol,guard,passed", [
+    ("bound", 1e-9, 1e-8, True, True),
+    ("bound", 1e-8, 1e-8, True, False),
+    ("bound", 1e-9, 1e-8, False, False),
+    ("bound", NAN, 1e-8, True, False),
+    ("exact", 0.0, 0.0, True, True),
+    ("exact", 1.0, 0.0, True, False),
+    ("control", 0.5, 1e-3, True, True),
+    ("control", 1e-4, 1e-3, True, False),
+    ("skip", NAN, 1e-8, True, True),
+    ("skip", NAN, 1e-8, False, False),
+])
+def test_check_row_verdict(kind, residual, tol, guard, passed):
+    row = cat.CheckRow("id", "ref", "inputs", residual, tol, kind=kind,
+                       guard=guard)
+    assert row.passed is passed
+
+
+def test_check_row_rejects_unknown_kind():
+    with pytest.raises(ValueError):
+        cat.CheckRow("id", "ref", "inputs", 0.0, 1.0, kind="loose")
+
+
+def test_report_counts_skips_apart_from_failures():
+    from thetakit.reports import Report
+
+    def skipped():
+        return cat.CheckRow("id", "ref", "inputs", NAN, 1e-8, kind="skip")
+
+    rep = Report("x", [skipped() for _ in range(cat.MAX_SKIPS)])
+    assert rep.passed and not rep.failed
+    rep.add(skipped())
+    assert not rep.passed and not rep.failed and len(rep.skipped) == 3
+
+
+def test_catalog_generator_round_trips():
+    """``tools/make_catalog.py`` renders the committed catalog byte for
+    byte (rendered in memory; nothing is written)."""
+    import importlib.util
+    from pathlib import Path
+
+    tool_path = Path(__file__).resolve().parents[1] / "tools" / "make_catalog.py"
+    spec = importlib.util.spec_from_file_location("_make_catalog", tool_path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    assert tool.render().encode() == cat.default_catalog_path().read_bytes()

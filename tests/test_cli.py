@@ -45,6 +45,24 @@ def test_eval_jet_output(capsys):
     assert "c0" in out and "c2" in out
 
 
+def test_eval_v_dispatches_to_its_recipe(capsys):
+    code, out, _ = run_main(["eval", "v", "--tau", "1i"], capsys)
+    assert code == EXIT_PASS
+    assert abs(complex(out.strip().strip("()")) - 2 ** -0.25) < 1e-12
+
+
+@pytest.mark.parametrize("argv", [
+    ["suite", "--seed", "3", "run", "apery"],
+    ["eval", "x", "--tau", "1i", "--seed", "9", "--tol", "theta=1",
+     "--grid", "0,1,2,3,4", "--catalog", "/nonexistent"],
+])
+def test_suite_options_belong_to_suite_run(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_USAGE
+    assert capsys.readouterr().out == ""
+
+
 def test_eval_unknown_function(capsys):
     code, _, err = run_main(["eval", "frobnicate"], capsys)
     assert code == EXIT_USAGE
@@ -122,9 +140,12 @@ def test_console_script_entry_point():
     (None, ["--grid", "0,1,2,3,x"]),
     (None, ["--grid", "0,1,1,2,0"]),
     (None, ["--config", "/nonexistent/thetakit.conf"]),
-    (None, ["--jobs", "0"]),
-    (None, ["--jobs", "-3"]),
-    ("jobs = 0\n", []),
+    ("sed = 3\n", []),
+    ("jobs = 2\n", []),
+    ("tol.p6 = 1e-3\n", []),
+    ("tol.torus = 1e-3\n", []),
+    (None, ["--tol", "nonsense=1e-30"]),
+    (None, ["--tol", "p6=1e-3"]),
 ])
 def test_bad_suite_configuration_is_a_usage_error(config, argv, capsys,
                                                   tmp_path):

@@ -10,11 +10,10 @@ from hypothesis import given, settings, strategies as st
 
 from thetakit import (CriticalPointError, GeneratorState, Jet, MovingState,
                       ThetaSpec, md_transport_residual, generator_ring_rhs,
-                      meromorphic_derivative, schwarzian_of_map,
-                      moving_ring_rhs)
+                      meromorphic_derivative, moving_ring_rhs)
 from thetakit.jets import (eta1_jet, jacobi_theta_jet, jet_newton_inverse,
-                           md_jet, companion_indices, theta_jet, thetaprime_jet,
-                           variable_jet, vartheta_jet)
+                           companion_indices, rational_md, theta_jet,
+                           thetaprime_jet, variable_jet, vartheta_jet)
 from thetakit.painleve import hauptmodul_x
 from thetakit.rational import Poly, RationalFunc, mobius
 from thetakit.thetafuncs import theta
@@ -171,15 +170,10 @@ def test_meromorphic_derivative_values():
         meromorphic_derivative(Jet(0.0, [1.0, 0.0, 1.0, 1.0]))
 
 
-def test_md_jet_matches_value():
-    x = hauptmodul_x(1.15j, 8)
-    assert abs(md_jet(x).value - meromorphic_derivative(x)) < 1e-12
-
-
 def test_schwarzian_of_map():
-    assert abs(schwarzian_of_map(mobius(5, 2, 3, 1), 0.37 + 0.21j)) < 1e-12
+    assert abs(rational_md(mobius(5, 2, 3, 1), 0.37 + 0.21j)) < 1e-12
     with pytest.raises(CriticalPointError):
-        schwarzian_of_map(RationalFunc(Poly([0, 0, 1])), 0.0)  # x^2 at 0
+        rational_md(RationalFunc(Poly([0, 0, 1])), 0.0)  # x^2 at 0
 
 
 def test_md_transport_square_map_against_jet_oracle():

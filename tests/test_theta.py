@@ -252,6 +252,8 @@ NAN, INF = float("nan"), float("inf")
     (complex(-INF, 1.0), "nome magnitude is not < 1 at tau=(-inf+1j)"),
     (complex(NAN, INF), "nome magnitude is not < 1 at tau=(nan+infj)"),
     (1e-320j, "nome magnitude is not < 1 at tau=1e-320j"),
+    (complex(1.0, INF), "tau must be finite, got (1+infj)"),
+    (complex(0.0, INF), "tau must be finite, got infj"),
 ])
 def test_tau_point_rejects(tau, message):
     for make in (as_tau, TauPoint):

@@ -311,12 +311,18 @@ poly_line("qden", AK.den)
 emit()
 
 
-def main():
+def render() -> str:
+    """The catalog file's text: the entries, then their sha256."""
     body = "\n".join(lines) + "\n"
     sha = hashlib.sha256(body.encode()).hexdigest()
+    return body + "[checksum]\n" + f"sha256: {sha}\n"
+
+
+def main():
+    text = render()
     out_path = Path(__file__).resolve().parents[1] / "src/thetakit/data/curves.txt"
-    out_path.write_text(body + "[checksum]\n" + f"sha256: {sha}\n")
-    print(f"wrote {out_path} ({len(body)} bytes, sha256 {sha[:16]}...)")
+    out_path.write_text(text)
+    print(f"wrote {out_path} ({len(text)} bytes)")
 
 
 if __name__ == "__main__":
