@@ -13,7 +13,7 @@ that kernel plus exact rational arithmetic.
 """
 
 from ._series import BACKEND as KERNEL_BACKEND
-from .control import SeriesControl, TauPoint, as_tau
+from .control import TauPoint, as_tau
 from .errors import (BranchJumpError, CatalogError, CriticalPointError,
                      CuspProximityError, NewtonError, NonConvergenceError,
                      PoleProximityError, ResonanceError, ThetaKitError)
@@ -33,7 +33,7 @@ from .thetafuncs import (EllipticConstants, ThetaSpec, dedekind_eta,
 __version__ = "0.1.0"
 
 __all__ = [
-    "KERNEL_BACKEND", "SeriesControl", "TauPoint", "as_tau",
+    "KERNEL_BACKEND", "TauPoint", "as_tau",
     "ThetaKitError", "NonConvergenceError", "PoleProximityError",
     "CriticalPointError", "BranchJumpError", "CuspProximityError",
     "NewtonError", "ResonanceError", "CatalogError",

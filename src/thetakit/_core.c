@@ -17,11 +17,13 @@
 #include <float.h>
 #include <math.h>
 
-/* A fused multiply-add rounds once where CPython rounds twice. */
+/* A fused multiply-add rounds once where CPython rounds twice.  With
+   contraction off, GCC's SLP vectorizer still fuses complex products into
+   vfmaddsub when -march allows FMA, so it is switched off too. */
 #if defined(__clang__)
 #pragma STDC FP_CONTRACT OFF
 #elif defined(__GNUC__)
-#pragma GCC optimize("fp-contract=off")
+#pragma GCC optimize("fp-contract=off", "no-tree-slp-vectorize")
 #endif
 
 #define MAX_ORDER 32

@@ -4,8 +4,11 @@ tower identities, with residual verification over a fixed tau grid.
 The catalog lives in ``data/curves.txt`` as a human-auditable text file
 with exact rational coefficients; a sha256 checksum section is mandatory
 (the loader, and hence the verification suites, refuse a file without
-one).  Each entry binds its polynomial payload to a named parametrization
-recipe -- a composition of theta-kernel and Painleve operations -- so a
+one).  The file is the only copy of every curve and equation the suites
+check: the checks take the entries they test as arguments, and the code
+never types a curve, a Q or an operator of the file again.  Each entry
+binds its polynomial payload to a named parametrization recipe -- a
+composition of theta-kernel and Painleve operations -- so a
 transcription error in either the data or an evaluator shows up as a
 residual, not a silent pass.
 
@@ -17,9 +20,10 @@ cancellation.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -27,6 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CatalogError, PoleProximityError, ThetaKitError
+from .fuchs import LinearODE, pq_to_normal
 from .jets import (Jet, dedekind_jet, jacobi_theta_jet, jet_newton_inverse,
                    md_transport_residual, meromorphic_derivative, vartheta_jet)
 from .painleve import PicardIndex, hauptmodul_x, picard_y, sqrt_x_jet
@@ -210,10 +215,12 @@ class CurveEntry:
     tol: float = 1e-8
     F: BivarPoly | None = None     # kind == curve
     vars: tuple[str, str] | None = None
-    Q: RationalFunc | None = None  # kind == fuchsian
+    Q: RationalFunc | None = None  # qnum/qden, or the normal form of p0/p1/p2
     Q_alt: RationalFunc | None = None
     hauptmodul: str | None = None
-    data: dict = field(default_factory=dict)
+
+
+_COEFFICIENT_FIELDS = ("qnum", "qden", "qaltnum", "qaltden", "p0", "p1", "p2")
 
 
 def _parse_fraction_list(text: str) -> list[Fraction]:
@@ -225,7 +232,10 @@ def default_catalog_path() -> Path:
 
 
 def load_catalog(path: str | Path | None = None) -> dict[str, CurveEntry]:
-    """Parse and checksum-verify the catalog file."""
+    """Parse and checksum-verify the catalog file.
+
+    An entry with ``p0``/``p1``/``p2`` lines, the second-order operator
+    p2 y'' + p1 y' + p0 y = 0, gets the operator's normal form as its Q."""
     path = Path(path) if path is not None else default_catalog_path()
     if not path.exists():
         raise CatalogError(f"catalog file not found: {path}")
@@ -268,10 +278,9 @@ def load_catalog(path: str | Path | None = None) -> dict[str, CurveEntry]:
             current.Q_alt = RationalFunc(
                 Poly(_parse_fraction_list(fields["qaltnum"])),
                 Poly(_parse_fraction_list(fields["qaltden"])))
-        current.data.update({k: v for k, v in fields.items()
-                             if k not in ("qnum", "qden", "qaltnum", "qaltden",
-                                          "kind", "note", "tol", "vars",
-                                          "hauptmodul")})
+        if "p2" in fields:
+            current.Q = pq_to_normal(LinearODE.build(
+                *(_parse_fraction_list(fields[f"p{j}"]) for j in range(3))))
         entries[current.id] = current
         current, fields, bivar_rows = None, {}, []
 
@@ -303,10 +312,18 @@ def load_catalog(path: str | Path | None = None) -> dict[str, CurveEntry]:
             current.vars = tuple(val.split())
         elif key == "hauptmodul":
             current.hauptmodul = val
-        else:
+        elif key in _COEFFICIENT_FIELDS:
             fields[key] = val
+        else:
+            raise CatalogError(f"unknown field {key!r} in entry {current.id}")
     finish()
     return entries
+
+
+@functools.cache
+def default_catalog() -> dict[str, CurveEntry]:
+    """The packaged catalog, parsed and checksum-verified once per process."""
+    return load_catalog()
 
 
 # --------------------------------------------------------------------------
@@ -598,39 +615,19 @@ PICARD_Y_OF_TT = RationalFunc(-3 * Poly([-3, 1]) * Poly([1, 1]),
                               Poly([3, 1]) ** 2)
 TT_OF_T = RationalFunc(Poly([-1, 3]), Poly([-1, 1]))
 Z_OF_T = RationalFunc(3 * Poly([1, 1]), Poly([-1, 1]))
-Q_ICOSA = RationalFunc(-2 * Poly([1, 1, 1]) ** 4,
-                    (Poly([-1, 0, 1]) * Poly([1, 2]) * Poly([2, 1])
-                     * Poly([0, 1])) ** 2)
-QZ = RationalFunc(Fraction(-1, 2) * Poly([3, 0, 1]) ** 4,
-                  Poly([0, 9, 0, -10, 0, 1]) ** 2)
 
 TETRA_X_OF_T = RationalFunc(Poly([-1, 1]) ** 2 * Poly([2, 1]),
                           Poly([1, 1]) ** 2 * Poly([-2, 1]))
 TETRA_Y_OF_T = RationalFunc(Poly([-1, 1]) * Poly([2, 1]),
                           Poly([1, 1]) * Poly([0, 1]))
-# The tetrahedral parameter equation.  A sometimes-quoted form divides by
-# an extra T^2, but T = 0 is not among the five parabolic points
-# {+-1, +-2, oo}, and the squared-parameter equation forces the denominator
-# ((T^2-1)(T^2-4))^2 exactly (the numerators agree).
-Q_TETRA = RationalFunc(Fraction(-1, 2) * Poly([44, 0, -15, 0, 6, 0, 1]),
-                    (Poly([-1, 0, 1]) * Poly([-4, 0, 1])) ** 2)
 
 
-def q_tetra_squared() -> RationalFunc:
-    """Partial-fraction Q for the squared tetrahedral parameter:
-
-        -3/(8 b^2) - 1/(2 (b-1)^2) - 1/(2 (b-4)^2)
-        + (7b - 11)/(8 (b-1)(b-4) b).
-    """
-    b = Poly([0, 1])
-    return (Fraction(-3, 8) * RationalFunc([1], b * b)
-            + Fraction(-1, 2) * RationalFunc([1], Poly([-1, 1]) ** 2)
-            + Fraction(-1, 2) * RationalFunc([1], Poly([-4, 1]) ** 2)
-            + Fraction(1, 8) * RationalFunc(Poly([-11, 7]),
-                                            Poly([-1, 1]) * Poly([-4, 1]) * b))
-
-
-ICOSA_Y_ON_LEVEL3 = None  # rational in (x, ytilde); assembled below
+def tetra_branch_seeds(x: complex):
+    """The three roots T of x(T) = x, num(T) - x den(T) = 0: one seed for
+    each local branch of the tetrahedral parameter."""
+    poly = [complex(n) - x * complex(d) for n, d in
+            zip(TETRA_X_OF_T.num.coeffs, TETRA_X_OF_T.den.coeffs, strict=True)]
+    return np.roots(list(reversed(poly)))
 
 
 def icosa_y_from_level3(x: complex, yt: complex) -> complex:
@@ -639,7 +636,10 @@ def icosa_y_from_level3(x: complex, yt: complex) -> complex:
         / (16.0 * (yt * yt - 3.0 * yt + 3.0) * yt)
 
 
-def icosa_transport_checks(grid=STANDARD_GRID, rng=None) -> list[CheckRow]:
+def icosa_transport_checks(q_z: RationalFunc, q_t: RationalFunc,
+                           grid=STANDARD_GRID, rng=None) -> list[CheckRow]:
+    """The icosahedral-family T-equation ``q_t`` against the z-equation
+    ``q_z`` and along tau."""
     import random
 
     rng = rng or random.Random(0)
@@ -658,7 +658,7 @@ def icosa_transport_checks(grid=STANDARD_GRID, rng=None) -> list[CheckRow]:
     worst = 0.0
     for _ in range(10):
         t = complex(rng.uniform(-3, 3), rng.uniform(0.3, 2.0))
-        worst = max(worst, abs(md_transport_residual(QZ, Q_ICOSA, Z_OF_T, t)))
+        worst = max(worst, abs(md_transport_residual(q_z, q_t, Z_OF_T, t)))
     rows.append(CheckRow("icosa:transport", "T-equation maps onto the z-equation",
                          "10 random T", worst, 1e-11))
     # tau-side: T(tau) from the Picard pair satisfies the T-equation
@@ -667,7 +667,7 @@ def icosa_transport_checks(grid=STANDARD_GRID, rng=None) -> list[CheckRow]:
         yt = recipe_ytilde(tau, 5)
         tt = (yt ** 3 - 3.0 * x * yt + x * (x + 1.0)) / (x * (x - 1.0))
         t_jet = (tt + 3.0) / (tt - 3.0)
-        resid = abs(meromorphic_derivative(t_jet) - Q_ICOSA(t_jet.value))
+        resid = abs(meromorphic_derivative(t_jet) - q_t(t_jet.value))
         rows.append(CheckRow(f"icosa:fuchs@{tau}", "T-equation along tau",
                              f"tau={tau}", resid, 1e-8))
         # the non-Picard solution as a rational function on the Picard curve
@@ -679,20 +679,13 @@ def icosa_transport_checks(grid=STANDARD_GRID, rng=None) -> list[CheckRow]:
 
 
 def _tetra_t_jet(tau, order=5) -> Jet:
-    """A local branch of the tetrahedral parameter: root of x(T) = x(tau)."""
+    """A local branch of the tetrahedral parameter: the root of
+    x(T) = x(tau) that best solves the packaged ``tetra-T`` equation."""
     xj = recipe_x(tau, order)
-    num = TETRA_X_OF_T.num
-    den = TETRA_X_OF_T.den
-    ncoef = [complex(c) for c in num.coeffs]
-    dcoef = [complex(c) for c in den.coeffs]
-    size = max(len(ncoef), len(dcoef))
-    poly = [(ncoef[i] if i < len(ncoef) else 0.0)
-            - xj.value * (dcoef[i] if i < len(dcoef) else 0.0)
-            for i in range(size)]
-    roots = np.roots(list(reversed(poly)))
+    q_t = default_catalog()["tetra-T"].Q
     dx = TETRA_X_OF_T.derivative()
     best = None
-    for seed in roots:
+    for seed in tetra_branch_seeds(xj.value):
         if min(abs(seed - p) for p in (1.0, -1.0, 2.0, -2.0, 0.0)) < 1e-6:
             continue
         try:
@@ -700,7 +693,7 @@ def _tetra_t_jet(tau, order=5) -> Jet:
                                     lambda w: dx(w), xj, seed)
         except Exception:
             continue
-        r = abs(meromorphic_derivative(tj) - Q_TETRA(tj.value))
+        r = abs(meromorphic_derivative(tj) - q_t(tj.value))
         if best is None or r < best[0]:
             best = (r, tj)
     if best is None:
@@ -708,24 +701,30 @@ def _tetra_t_jet(tau, order=5) -> Jet:
     return best[1]
 
 
-def tetra_checks(grid=STANDARD_GRID, rng=None) -> list[CheckRow]:
+def tetra_checks(q_t: RationalFunc, qb: RationalFunc, xi: BivarPoly,
+                 grid=STANDARD_GRID, rng=None) -> list[CheckRow]:
+    """The tetrahedral T-equation ``q_t``, its squared-parameter form
+    ``qb``, and the quartic ``xi`` pairing T with the level-3 parameter.
+
+    A sometimes-quoted T-equation divides by an extra T^2, but T = 0 is not
+    among the five parabolic points {+-1, +-2, oo}: the squared-parameter
+    equation forces the denominator ((T^2-1)(T^2-4))^2 exactly."""
     import random
 
     rng = rng or random.Random(0)
     rows = []
     # transport: T-equation -> squared-variable equation under b = T^2
-    qb = q_tetra_squared()
     square = RationalFunc(Poly([0, 0, 1]))
     worst = 0.0
     for _ in range(10):
         t = complex(rng.uniform(-3, 3), rng.uniform(0.3, 2.0))
-        worst = max(worst, abs(md_transport_residual(qb, Q_TETRA, square, t)))
+        worst = max(worst, abs(md_transport_residual(qb, q_t, square, t)))
     rows.append(CheckRow("tetra:transport", "squared-parameter reduction",
                          "10 random T", worst, 1e-11))
     # tau-side Fuchsian residuals for T and b = T^2
     for tau in grid[:3]:
         tj = _tetra_t_jet(tau)
-        resid = abs(meromorphic_derivative(tj) - Q_TETRA(tj.value))
+        resid = abs(meromorphic_derivative(tj) - q_t(tj.value))
         rows.append(CheckRow(f"tetra:fuchsT@{tau}", "tetrahedral T-equation",
                              f"tau={tau}", resid, 1e-8))
         bj = tj * tj
@@ -737,9 +736,7 @@ def tetra_checks(grid=STANDARD_GRID, rng=None) -> list[CheckRow]:
         yt = recipe_ytilde(tau, 0).value
         tt = (yt ** 3 - 3.0 * x * yt + x * (x + 1.0)) / (x * (x - 1.0))
         t = tj.value
-        xi = tt ** 4 + 4.0 * (t ** 3 - 3.0 * t) * tt ** 3 + 18.0 * tt ** 2 - 27.0
-        scale = max(abs(tt) ** 4, abs(4.0 * (t ** 3 - 3.0 * t) * tt ** 3), 27.0)
-        residx = abs(xi) / scale
+        residx = abs(xi(t, tt)) / max(1.0, xi.max_term_magnitude(t, tt))
         rows.append(CheckRow(f"tetra:xi@{tau}", "parameter-pair quartic",
                              f"tau={tau}", residx, 1e-8))
     return rows
@@ -786,27 +783,28 @@ def reference_invariant_checks() -> list[CheckRow]:
 X_OF_Z = RationalFunc(Poly([-3, 8, -6, 0, 1]), Poly([0, 16]))
 # x = 1/2 + (z^4 - 6 z^2 - 3)/(16 z) = (z^4 - 6 z^2 + 8 z - 3)/(16 z)
 
-K2_Q = RationalFunc(Fraction(-1, 2) * Poly([1, -1, 1]),
-                    (Poly([0, 1]) * Poly([-1, 1])) ** 2)
 
-
-def legendre_z_chain_check(rng=None, n_points: int = 10) -> CheckRow:
-    """Transport of the z-equation onto the 3-punctured-sphere equation
-    through the quadratic chain x(z) (rational identity)."""
+def legendre_z_chain_check(q_x: RationalFunc, q_z: RationalFunc, rng=None,
+                           n_points: int = 10) -> CheckRow:
+    """Transport of the z-equation ``q_z`` onto the 3-punctured-sphere
+    equation ``q_x`` through the quadratic chain x(z) (rational identity)."""
     import random
 
     rng = rng or random.Random(0)
     worst = 0.0
     for _ in range(n_points):
         z0 = complex(rng.uniform(1.2, 2.6), rng.uniform(0.4, 1.6))
-        worst = max(worst, abs(md_transport_residual(K2_Q, QZ, X_OF_Z, z0)))
+        worst = max(worst, abs(md_transport_residual(q_x, q_z, X_OF_Z, z0)))
     return CheckRow("x-of-z", "quadratic chain from z to the Legendre square",
                     f"{n_points} random z", worst, 1e-11)
 
 
-def exceptional_heun_equivalence_check(rng=None, n_points: int = 10) -> CheckRow:
-    """The two hypergeometric-reducible operators (lemniscatic and the
-    9-point one) are tied by the genus-1 change of variable
+def exceptional_heun_equivalence_check(q_lem: RationalFunc,
+                                       q_nine: RationalFunc, curve: BivarPoly,
+                                       rng=None, n_points: int = 10) -> CheckRow:
+    """The two hypergeometric-reducible operators (the lemniscatic ``q_lem``
+    and the 9-point ``q_nine``) are tied by the genus-1 change of variable
+    ``curve``, G(x, X) = 0 for
 
         (2 X^2 - 1)^2 = (x^2 - 20 x - 8)^2 / (64 (1 - x)^3):
 
@@ -814,23 +812,7 @@ def exceptional_heun_equivalence_check(rng=None, n_points: int = 10) -> CheckRow
     implicit derivatives of X(x) from the curve."""
     import random
 
-    from .fuchs import EXCEPTIONAL_HEUN_ODES, pq_to_normal
-
     rng = rng or random.Random(1)
-    q_lem = pq_to_normal(EXCEPTIONAL_HEUN_ODES["I"])
-    q_nine = pq_to_normal(EXCEPTIONAL_HEUN_ODES["III"])
-    # curve G(x, X) = 64 (1-x)^3 (2 X^2 - 1)^2 - (x^2 - 20 x - 8)^2 = 0
-    one_minus_x = Poly([1, -1])
-    left = {}
-    for i, ci in enumerate((one_minus_x ** 3).coeffs):
-        for (jj, cj) in ((0, Fraction(1)), (2, Fraction(-4)), (4, Fraction(4))):
-            left[(i, jj)] = left.get((i, jj), Fraction(0)) + 64 * ci * cj
-    rightpoly = Poly([-8, -20, 1]) ** 2
-    G = {k: v for k, v in left.items()}
-    for i, c in enumerate(rightpoly.coeffs):
-        G[(i, 0)] = G.get((i, 0), Fraction(0)) - c
-    curve = BivarPoly(G)
-    gx = curve.partial(1, 0)
     gy = curve.partial(0, 1)
     worst = 0.0
     for _ in range(n_points):

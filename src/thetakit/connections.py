@@ -25,7 +25,7 @@ import numpy as np
 
 from .control import as_tau
 from .errors import CriticalPointError, PoleProximityError, ThetaKitError
-from .fuchs import EXCEPTIONAL_HEUN_ODES, heun_s_jet, pq_to_normal
+from .fuchs import heun_s_jet
 from .jets import Jet, eta1_jet, jet_newton_inverse, vartheta_jet
 from .rational import Poly, RationalFunc
 from .thetafuncs import elliptic_constants, eta1
@@ -280,10 +280,6 @@ J_RATIONAL = RationalFunc(
     Fraction(4, 27) * Poly([1, -1, 1]) ** 3,
     Poly([0, 0, 1]) * Poly([-1, 1]) ** 2)
 
-FJ_Q = RationalFunc(
-    Fraction(-1, 72) * Poly([32, -41, 36]),
-    (Poly([0, 1]) * Poly([-1, 1])) ** 2)
-
 
 def j_jet(tau, order: int = 5) -> Jet:
     """Klein's J as a jet, through J(x) of the Legendre Hauptmodul."""
@@ -371,14 +367,14 @@ def legendre_compact_residual(tau) -> dict[str, float]:
             "closed_form": abs(g.value - closed)}
 
 
-def cubic_family_residual(init, path, rng_note: str = "") -> float:
+def cubic_family_residual(q: RationalFunc, init, path) -> float:
     """Compact omega-form equation for the second exceptional Heun operator,
+    whose normal form is ``q``,
 
         2 w (nabla2 + 6 w^2)^2 = (2 nabla2 + 15 w^2) nabla1^2,
 
     verified along an integrated Schwarzian solution with the calibration
     gamma = d/dtau ln xdot - d/dtau ln{(x+1)^3 - 1}."""
-    q = pq_to_normal(EXCEPTIONAL_HEUN_ODES["II"])
     calib = RationalFunc(Poly([0, 3, 3, 1]))  # (x+1)^3 - 1
     traj = schwarz_integrate(q, init, path)
     worst = 0.0
@@ -416,7 +412,7 @@ def conical_growth_check(radii=(0.08, 0.04, 0.02, 0.01)) -> dict:
     x = -1.  Along a ray approaching that point the uncorrected connection
     of b blows up while the conically corrected one stays bounded.
     """
-    from .catalog import TETRA_X_OF_T
+    from .catalog import TETRA_X_OF_T, tetra_branch_seeds
     from .painleve import hauptmodul_x
 
     # locate tau* with x(tau*) = -1 by Newton on the x-jet
@@ -437,14 +433,7 @@ def conical_growth_check(radii=(0.08, 0.04, 0.02, 0.01)) -> dict:
         pt = tau + r * (0.3 + 1.0j) / abs(0.3 + 1.0j)
         xj = hauptmodul_x(pt, 4)
         # invert x(T) = x(tau) near T = 0 (x(0) = -1)
-        ncoef = [complex(c) for c in xt.num.coeffs]
-        dcoef = [complex(c) for c in xt.den.coeffs]
-        size = max(len(ncoef), len(dcoef))
-        poly = [(ncoef[i] if i < len(ncoef) else 0.0)
-                - xj.value * (dcoef[i] if i < len(dcoef) else 0.0)
-                for i in range(size)]
-        roots = np.roots(list(reversed(poly)))
-        seed = min(roots, key=abs)
+        seed = min(tetra_branch_seeds(xj.value), key=abs)
         tj = jet_newton_inverse(lambda w: xt(w), lambda w: dxt(w), xj, seed)
         bj = tj * tj
         bd = bj.derivative()

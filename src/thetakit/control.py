@@ -8,40 +8,22 @@ from dataclasses import dataclass
 _IPI = 1j * pi
 
 
-@dataclass(frozen=True)
-class SeriesControl:
-    """Truncation policy for symmetric q-series summation.
-
-    A term group (symmetric index pair) is negligible when its magnitude
-    falls below ``abs_floor`` times the running maximum of the partial-sum
-    magnitude; summation stops after ``consecutive_negligible`` successive
-    negligible groups, and raises if ``max_terms`` indices are consumed
-    first.  The q-decay of all series here is Gaussian, so this policy is
-    both cheap and robust.
-    """
-
-    abs_floor: float = 1e-17
-    consecutive_negligible: int = 3
-    max_terms: int = 4096
-
-    def __post_init__(self):
-        if self.max_terms < 16:
-            raise ValueError("max_terms must be at least 16")
-        if self.consecutive_negligible < 2:
-            raise ValueError("consecutive_negligible must be at least 2")
-        if not self.abs_floor > 0:
-            raise ValueError("abs_floor must be positive")
-
-
-DEFAULT_CONTROL = SeriesControl()
+# Truncation policy of every q-series sum.  A term group (symmetric index
+# pair) is negligible when its magnitude falls below ABS_FLOOR times the
+# running maximum of the partial-sum magnitude; summation stops after
+# NEGLIGIBLE_RUN successive negligible groups, and raises if MAX_TERMS
+# indices are consumed first.  The q-decay of all series here is Gaussian,
+# so this policy is both cheap and robust.
+ABS_FLOOR = 1e-17
+NEGLIGIBLE_RUN = 3
+MAX_TERMS = 4096
 
 
 @dataclass(frozen=True)
 class TauPoint:
-    """A point of the upper half-plane carrying its evaluation policy."""
+    """A validated point of the upper half-plane."""
 
     value: complex
-    series_control: SeriesControl = DEFAULT_CONTROL
 
     def __post_init__(self):
         v = complex(self.value)

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .control import as_tau
 from .errors import CuspProximityError, NewtonError, ResonanceError, ThetaKitError
-from .jets import Jet, eta1_jet, md_transport_residual, vartheta_jet
+from .jets import Jet, eta1_jet, rational_md, vartheta_jet
 from .rational import Poly, RationalFunc
 from .thetafuncs import elliptic_K, eta1, vartheta
 
@@ -201,67 +201,43 @@ def pq_to_normal(ode2: LinearODE) -> RationalFunc:
     return -2 * q + p * p * Fraction(1, 2) + p.derivative()
 
 
-# Exceptional integrable Heun operators (hypergeometric-reducible family)
-EXCEPTIONAL_HEUN_ODES = {
-    "I": LinearODE.build([0, 1], [-1, 0, 3], [0, -1, 0, 1]),
-    "II": LinearODE.build([1, 1], [3, 6, 3], [0, 3, 3, 1]),
-    "III": LinearODE.build([2, 1], [-8, 14, 3], [0, -8, 7, 1]),
-    "IV": LinearODE.build([3, 1], [-1, 22, 3], [0, -1, 11, 1]),
-}
-
-
-def apery_klein_form() -> RationalFunc:
-    """The unique Klein normal form of the second-order operator, as the
-    negated bracket of its classical Heun presentation:
-
-        Q = -(1/2)/r^2 - (3/8)(P'^2 - 2P)/P^2 + (3/4)(r-16)/(P r),
-        P = r^2 - 34 r + 1,
-
-    where (P'^2 - 2P)/P^2 is the exact rational form of the sum of
-    1/(r-alpha)^2 over the two roots of P.  Q carries the puncture
-    normalization -1/(2 r^2) + ... at the parabolic points.
-    """
-    P = Poly([1, -34, 1])
-    Pp = P.derivative()
-    sum_sq = RationalFunc(Pp * Pp - 2 * P, P * P)
-    return (Fraction(-1, 2) * RationalFunc([1], [0, 0, 1])
-            - Fraction(3, 8) * sum_sq
-            + Fraction(3, 4) * RationalFunc(Poly([-16, 1]), P * Poly([0, 1])))
-
-
-HEUN_Q = RationalFunc(
-    Poly([Fraction(-81, 2), 54, -51, 6, Fraction(-1, 2)]),
-    (Poly([0, 1]) * Poly([-1, 1]) * Poly([-9, 1])) ** 2)
-
 RS_SUBSTITUTIONS = (
     RationalFunc(Poly([-9, 1]), Poly([0, -1, 1])),   # (s-9)/(s(s-1))
     RationalFunc(Poly([8, 1]), Poly([0, 1, -1])),    # (s+8)/(s(1-s))
 )
 
 
-def apery_normal_form_check(n_points: int = 20, rng=None) -> dict:
+def apery_normal_form_check(q_named: RationalFunc, q_heun, n_points: int = 20,
+                            rng=None) -> dict:
     """(i) pq_to_normal of the second-order operator equals its named
-    normal form exactly; (ii) both quadratic substitutions carry the Heun
-    normal form onto it (pointwise identity at random points).
+    normal form ``q_named`` exactly; (ii) both quadratic substitutions
+    carry the Heun normal form ``q_heun`` onto it (pointwise identity at
+    random points).
 
     The first substitution acts on the Heun equation with its movable
     fourth singularity at 9; the second is the same map in the relabeled
     variable s -> 1-s, so it acts on the equivalent equation with the
-    fourth singularity at -8 (Q(s) = Q_heun(1-s)).
+    fourth singularity at -8 (Q(s) = Q_heun(1-s)).  Each substitution
+    residual q_dst(R(s)) - [R,s] - q_src(s)/R'(s)^2 is relative to
+    max(1, |q_dst(R(s))|, |[R,s]|, |q_src(s)/R'(s)^2|), the size of the
+    terms it compares.
     """
     import random
 
     rng = rng or random.Random(0)
-    q_named = apery_klein_form()
     q_derived = pq_to_normal(APERY_ODE2)
     exact_equal = q_named == q_derived
-    sources = (HEUN_Q, lambda s: HEUN_Q(1.0 - s))
+    sources = (q_heun, lambda s: q_heun(1.0 - s))
     worst = [0.0, 0.0]
     for i, (sub, src) in enumerate(zip(RS_SUBSTITUTIONS, sources)):
+        d1 = sub.derivative()
         for _ in range(n_points):
             s0 = complex(rng.uniform(2, 8), rng.uniform(0.5, 3))
-            worst[i] = max(worst[i], abs(
-                md_transport_residual(q_derived, src, sub, s0)))
+            lhs = q_derived(sub(s0))
+            schwarzian = rational_md(sub, s0)
+            moved = src(s0) / d1(s0) ** 2
+            worst[i] = max(worst[i], abs(lhs - (schwarzian + moved))
+                           / max(1.0, abs(lhs), abs(schwarzian), abs(moved)))
     return {"exact_normal_form": exact_equal,
             "substitution_residuals": tuple(worst)}
 

@@ -17,7 +17,7 @@ from cmath import pi, sqrt as csqrt
 from dataclasses import dataclass
 
 from ._series import dedekind_sums, theta_sums
-from .control import as_tau
+from .control import ABS_FLOOR, MAX_TERMS, NEGLIGIBLE_RUN, as_tau
 from .errors import CriticalPointError
 from .rational import RationalFunc
 from .thetafuncs import JACOBI_CHARS, ThetaSpec
@@ -212,10 +212,8 @@ def theta_jet(spec: ThetaSpec, tau0, order: int, *, nz: int = 0,
         raise ValueError("theta jets limited to order 8")
     t = as_tau(tau0)
     a0, b0, sign = spec.reduced()
-    ctl = t.series_control
     sums = theta_sums(a0, b0, spec.A, spec.B, tau_scale, tau_shift, t.value,
-                      nz, order, ctl.abs_floor, ctl.consecutive_negligible,
-                      ctl.max_terms)
+                      nz, order, ABS_FLOOR, NEGLIGIBLE_RUN, MAX_TERMS)
     fact = 1.0
     coeffs = []
     for j, s in enumerate(sums):
@@ -246,9 +244,7 @@ def thetaprime_jet(A, B, tau0, order: int) -> Jet:
 
 def dedekind_jet(tau0, order: int) -> Jet:
     t = as_tau(tau0)
-    ctl = t.series_control
-    sums = dedekind_sums(t.value, order, ctl.abs_floor,
-                         ctl.consecutive_negligible, ctl.max_terms)
+    sums = dedekind_sums(t.value, order, ABS_FLOOR, NEGLIGIBLE_RUN, MAX_TERMS)
     fact = 1.0
     coeffs = []
     for j, s in enumerate(sums):

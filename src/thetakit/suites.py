@@ -26,7 +26,7 @@ from . import thetafuncs as th
 from . import toroidal as tor
 from .catalog import CheckRow, STANDARD_GRID, negative_control
 from .errors import ThetaKitError
-from .rational import Poly
+from .rational import BivarPoly, Poly
 from .reports import Report
 
 _IPI = 1j * pi
@@ -43,9 +43,11 @@ class SuiteConfig:
         return random.Random(self.seed * 1000003 + salt)
 
     def catalog(self):
-        if not hasattr(self, "_catalog"):
-            self._catalog = cat.load_catalog(self.catalog_path)
-        return self._catalog
+        """The entries at ``catalog_path``, read and checksum-verified on
+        each call, or the packaged catalog, parsed once per process."""
+        if self.catalog_path is None:
+            return cat.default_catalog()
+        return cat.load_catalog(self.catalog_path)
 
 
 def _theta_grid(n: int = 50):
@@ -125,8 +127,9 @@ def suite_theta(cfg: SuiteConfig) -> Report:
         z = complex(rng.uniform(-0.6, 0.6), rng.uniform(-0.4, 0.4))
         t1 = th.jacobi_theta(1, z, tau)
         worst1 = max(worst1, abs(th.jacobi_theta(1, z + 1.0, tau) + t1))
-        worst2 = max(worst2, abs(th.jacobi_theta(1, z + tau, tau)
-                                 + cmath.exp(-_IPI * tau - 2j * pi * z) * t1))
+        t1_tau = th.jacobi_theta(1, z + tau, tau)
+        worst2 = max(worst2, abs(t1_tau + cmath.exp(-_IPI * tau - 2j * pi * z)
+                                 * t1) / max(1.0, abs(t1_tau)))
     rep.add(CheckRow("quasi-period-1", "theta1(z+1) = -theta1(z)",
                      "10 random (z, tau)", worst1, tol))
     rep.add(CheckRow("quasi-period-tau", "theta1(z+tau) law", "10 random (z, tau)",
@@ -263,9 +266,7 @@ def suite_picard_curves(cfg: SuiteConfig) -> Report:
     for row in cat.reference_invariant_checks():
         rep.add(row)
     # negative control: perturb one quartic coefficient (6 -> 7)
-    from .rational import BivarPoly
-
-    broken = BivarPoly({(0, 4): 1, (1, 2): -7, (2, 1): 4, (1, 1): 4, (2, 0): -3})
+    broken = BivarPoly({**c["uy-quartic"].F.terms, (1, 2): -7})
     tau = cfg.grid[1]
     xv = cat.recipe_x(tau, 0).value
     yv = cat.recipe_picard(0, 1, 3)(tau, 0).value
@@ -404,9 +405,7 @@ def suite_painleve(cfg: SuiteConfig) -> Report:
                              "tau=1.3i", abs(r_bad), 1e-2))
 
     # the Fuchsian Q(x, y) from the curve
-    from .rational import BivarPoly
-
-    quartic = BivarPoly({(0, 4): 1, (1, 2): -6, (2, 1): 4, (1, 1): 4, (2, 0): -3})
+    quartic = cfg.catalog()["uy-quartic"].F
     worst_q = worst_jet = 0.0
     for tau in cfg.grid[:5]:
         x = pnl.hauptmodul_x(tau, 5)
@@ -453,10 +452,13 @@ def suite_fuchsian(cfg: SuiteConfig) -> Report:
         rep.add(cat.fuchsian_check(c[eid], cfg.grid))
     rep.add(cat.dual_forms_agree(c["qz"], rng=cfg.rng(7)))
     rep.add(cat.dual_forms_agree(c["qx85"], rng=cfg.rng(8)))
-    rep.add(cat.icosa_transport_checks(cfg.grid, cfg.rng(9)))
-    rep.add(cat.tetra_checks(cfg.grid, cfg.rng(10)))
-    rep.add(cat.legendre_z_chain_check(cfg.rng(11)))
-    rep.add(cat.exceptional_heun_equivalence_check(cfg.rng(12)))
+    rep.add(cat.icosa_transport_checks(c["qz"].Q, c["icosa-T"].Q, cfg.grid,
+                                       cfg.rng(9)))
+    rep.add(cat.tetra_checks(c["tetra-T"].Q, c["tetra-Tsq"].Q,
+                             c["tetra-xi"].F, cfg.grid, cfg.rng(10)))
+    rep.add(cat.legendre_z_chain_check(c["k2"].Q, c["qz"].Q, cfg.rng(11)))
+    rep.add(cat.exceptional_heun_equivalence_check(
+        c["exc-heun-I"].Q, c["exc-heun-III"].Q, c["xx-curve"].F, cfg.rng(12)))
     rep.add(cat.tower_identity_check("s-equality", cfg.grid, cfg.rng(13)))
     # negative control: wrong coefficient in the 3-puncture equation
     x = pnl.hauptmodul_x(1.2j, 5)
@@ -645,7 +647,9 @@ def suite_apery(cfg: SuiteConfig) -> Report:
                      0.0 if sq["square_residuals_zero"]
                      and sq["matches_integer_chain"] else 1.0, 0.5,
                      note=f"phi_1 = {sq['phi1']}"))
-    nf = fuchs.apery_normal_form_check(rng=cfg.rng(20))
+    c = cfg.catalog()
+    nf = fuchs.apery_normal_form_check(c["apery-klein"].Q, c["heun"].Q,
+                                       rng=cfg.rng(20))
     rep.add(CheckRow("normal-form", "derived Klein form equals the named one",
                      "exact rational", 0.0 if nf["exact_normal_form"] else 1.0, 0.5))
     rep.add(CheckRow("substitution-1", "(s-9)/(s(s-1)) transport onto the Heun "
@@ -829,13 +833,14 @@ def suite_chazy(cfg: SuiteConfig) -> Report:
                      "calibrated connection", "4 points",
                      max(w["closed_form"] for w in wc), 1e-10))
     rng = cfg.rng(22)
+    q_cubic = cfg.catalog()["exc-heun-II"].Q
     worst12 = 0.0
     for k in range(3):
         init = (complex(rng.uniform(3, 6), rng.uniform(0.2, 0.8)),
                 complex(rng.uniform(0.6, 1.4), rng.uniform(-0.3, 0.3)),
                 complex(rng.uniform(-0.3, 0.3), rng.uniform(-0.2, 0.2)))
         worst12 = max(worst12, conn.cubic_family_residual(
-            init, [1j, 1j + 0.25]))
+            q_cubic, init, [1j, 1j + 0.25]))
     rep.add(CheckRow("cubic-family-compact", "compact equation along three "
                      "integrated local solutions", "3 random initial triples",
                      worst12, 1e-5))

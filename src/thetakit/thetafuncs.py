@@ -27,7 +27,7 @@ from cmath import pi, sqrt
 from dataclasses import dataclass
 
 from ._series import dedekind_sums, theta_sums
-from .control import TauPoint, as_tau
+from .control import ABS_FLOOR, MAX_TERMS, NEGLIGIBLE_RUN, TauPoint, as_tau
 from .errors import PoleProximityError, ThetaKitError
 
 _IPI = 1j * pi
@@ -68,10 +68,8 @@ def _sums(spec_or_chars, tau: TauPoint, *, a_lin=0j, b_lin=0j, m_scale=1.0,
         a0, b0, sign = spec_or_chars.reduced()
     else:
         a0, b0, sign = reduce_characteristics(*spec_or_chars)
-    ctl = tau.series_control
     sums = theta_sums(a0, b0, a_lin, b_lin, m_scale, c_shift, tau.value,
-                      nz, order, ctl.abs_floor, ctl.consecutive_negligible,
-                      ctl.max_terms)
+                      nz, order, ABS_FLOOR, NEGLIGIBLE_RUN, MAX_TERMS)
     if sign != 1:
         sums = [sign * s for s in sums]
     return sums
@@ -116,9 +114,7 @@ def dedekind_eta(tau) -> complex:
     forms must agree to 1e-12 relative.
     """
     t = as_tau(tau)
-    ctl = t.series_control
-    s = dedekind_sums(t.value, 0, ctl.abs_floor, ctl.consecutive_negligible,
-                      ctl.max_terms)[0]
+    s = dedekind_sums(t.value, 0, ABS_FLOOR, NEGLIGIBLE_RUN, MAX_TERMS)[0]
     p = dedekind_product(tau)
     if abs(s - p) > 1e-12 * max(abs(s), abs(p)):
         raise ThetaKitError(
@@ -132,7 +128,7 @@ def dedekind_product(tau) -> complex:
     qbar = cmath.exp(2j * pi * t.value)
     acc = cmath.exp(_IPI * t.value / 12.0)
     power = 1.0 + 0j
-    for k in range(1, t.series_control.max_terms):
+    for k in range(1, MAX_TERMS):
         power *= qbar
         acc *= 1.0 - power
         if abs(power) < 1e-18:
@@ -144,9 +140,7 @@ def eta1(tau) -> complex:
     """Weierstrass eta(tau) = zeta(1|tau), via the logarithmic derivative
     of Dedekind's function: eta = (pi/i) * ded'/ded."""
     t = as_tau(tau)
-    ctl = t.series_control
-    s = dedekind_sums(t.value, 1, ctl.abs_floor, ctl.consecutive_negligible,
-                      ctl.max_terms)
+    s = dedekind_sums(t.value, 1, ABS_FLOOR, NEGLIGIBLE_RUN, MAX_TERMS)
     return -_IPI * s[1] / s[0]
 
 

@@ -33,12 +33,13 @@ def test_example11():
 
 
 def test_example12_three_inits():
+    q = cat.default_catalog()["exc-heun-II"].Q
     rng = random.Random(4)
     for _ in range(3):
         init = (complex(rng.uniform(3, 6), rng.uniform(0.2, 0.8)),
                 complex(rng.uniform(0.6, 1.4), rng.uniform(-0.3, 0.3)),
                 complex(rng.uniform(-0.3, 0.3), rng.uniform(-0.2, 0.2)))
-        assert conn.cubic_family_residual(init, [1j, 1j + 0.25]) < 1e-5
+        assert conn.cubic_family_residual(q, init, [1j, 1j + 0.25]) < 1e-5
 
 
 def test_heun_hidden_connection():

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from thetakit import fuchs
+from thetakit.catalog import default_catalog
 from thetakit.errors import CuspProximityError, ResonanceError
 from thetakit.jets import md_transport_residual
 from thetakit.painleve import hauptmodul_x
@@ -62,12 +63,15 @@ def test_symmetric_square():
 
 
 def test_normal_forms_and_substitutions():
-    rep = fuchs.apery_normal_form_check(rng=random.Random(0))
+    entries = default_catalog()
+    q_heun = entries["heun"].Q
+    rep = fuchs.apery_normal_form_check(entries["apery-klein"].Q, q_heun,
+                                        rng=random.Random(0))
     assert rep["exact_normal_form"]
     assert rep["substitution_residuals"][0] < 1e-12
     assert rep["substitution_residuals"][1] < 1e-12
     # first exceptional operator reduces exactly to its named normal form
-    q1 = fuchs.pq_to_normal(fuchs.EXCEPTIONAL_HEUN_ODES["I"])
+    q1 = entries["exc-heun-I"].Q
     lemn = RationalFunc(Fraction(-1, 2) * Poly([1, 0, 1]) ** 2,
                         (Poly([0, 1]) * Poly([-1, 0, 1])) ** 2)
     assert q1 == lemn
@@ -75,14 +79,36 @@ def test_normal_forms_and_substitutions():
     assert fuchs.pq_to_normal(fuchs.LinearODE.build([1, 2], [0], [1])) \
         == RationalFunc(Poly([-2, -4]))
     # the 9-point operator becomes the Heun form under x = 1 - 9/s
-    q3 = fuchs.pq_to_normal(fuchs.EXCEPTIONAL_HEUN_ODES["III"])
+    q3 = entries["exc-heun-III"].Q
     sub = RationalFunc(Poly([-9, 1]), Poly([0, 1]))
     rng = random.Random(1)
     for _ in range(10):
         s0 = complex(rng.uniform(2, 8), rng.uniform(0.5, 2))
-        assert abs(md_transport_residual(q3, fuchs.HEUN_Q, sub, s0)) < 1e-12
+        assert abs(md_transport_residual(q3, q_heun, sub, s0)) < 1e-12
     with pytest.raises(ValueError):
         fuchs.pq_to_normal(fuchs.APERY_ODE3)
+
+
+def test_substitution_rows_pass_at_seed_4():
+    """Seed 4 drew points where the absolute transport residual reached
+    6e-12 against terms of size 10 to 10^3; relative, it is ~1e-14."""
+    from thetakit.suites import SuiteConfig, suite_apery
+
+    rows = [r for r in suite_apery(SuiteConfig(seed=4)).checks
+            if r.check_id.startswith("substitution-")]
+    assert len(rows) == 2
+    assert all(r.passed for r in rows), rows
+
+
+def test_substitution_residual_catches_a_wrong_source():
+    """Shifting the Heun Q by 1e-3 moves both relative residuals far above
+    the rounding floor."""
+    entries = default_catalog()
+    q_heun = entries["heun"].Q
+    rep = fuchs.apery_normal_form_check(entries["apery-klein"].Q,
+                                        lambda s: q_heun(s) + 1e-3,
+                                        rng=random.Random(0))
+    assert min(rep["substitution_residuals"]) > 1e-6
 
 
 def test_heun_psi_constancy_and_ode():

@@ -5,8 +5,12 @@
 in ``conftest.py``; without a C compiler these tests skip."""
 
 import os
+import re
+import shutil
 import subprocess
 import sys
+import sysconfig
+from pathlib import Path
 
 from hypothesis import example, given, settings, strategies as st
 import pytest
@@ -110,3 +114,23 @@ def test_backend_selector_env():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, env={**os.environ, "THETAKIT_PURE": "1"})
     assert out.stdout.strip() == "python"
+
+
+def test_core_has_no_fused_multiply_add(tmp_path):
+    """Built for a CPU with FMA (-O3 -march=haswell), ``_core.c`` still
+    rounds every product on its own: the assembly holds no FMA mnemonic."""
+    cc = os.environ.get("CC", "cc").split()
+    if not shutil.which(cc[0]):
+        pytest.skip("no C compiler")
+    probe = subprocess.run(cc + ["-march=haswell", "-x", "c", "-S", "-o",
+                                 os.devnull, "-"], input="int x;\n",
+                           capture_output=True, text=True, timeout=60)
+    if probe.returncode != 0:
+        pytest.skip("the compiler rejects -march=haswell")
+    source = Path(__file__).resolve().parents[1] / "src" / "thetakit" / "_core.c"
+    asm = tmp_path / "_core.s"
+    subprocess.run(cc + ["-O3", "-march=haswell", "-fPIC", "-S",
+                         f"-I{sysconfig.get_paths()['include']}", str(source),
+                         "-o", str(asm)], check=True, capture_output=True,
+                   timeout=600)
+    assert not re.findall(r"\bvfn?m(?:add|sub)\w*", asm.read_text())

@@ -133,18 +133,3 @@ def test_catalog_checksum_contract(tmp_path):
     p3.write_text(good)
     assert sorted(load_catalog(p3)) == sorted(entries)
 
-
-def test_catalog_code_constants_match_file():
-    """The rational constants embedded in code equal the checksummed data."""
-    from thetakit import catalog as cat
-
-    entries = cat.load_catalog()
-    assert entries["icosa-T"].Q == cat.Q_ICOSA
-    assert entries["tetra-T"].Q == cat.Q_TETRA
-    assert entries["tetra-Tsq"].Q == cat.q_tetra_squared()
-    assert entries["qz"].Q == cat.QZ
-    assert entries["k2"].Q == cat.K2_Q
-    from thetakit.fuchs import HEUN_Q, apery_klein_form
-
-    assert entries["heun"].Q == HEUN_Q
-    assert entries["apery-klein"].Q == apery_klein_form()

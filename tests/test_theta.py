@@ -6,8 +6,8 @@ import math
 
 import pytest
 
-from thetakit import (NonConvergenceError, PoleProximityError, SeriesControl,
-                      TauPoint, ThetaSpec, dedekind_eta, elliptic_K,
+from thetakit import (NonConvergenceError, PoleProximityError, TauPoint,
+                      ThetaSpec, dedekind_eta, elliptic_K,
                       elliptic_K_modular, elliptic_constants, eta1,
                       jacobi_theta, theta, theta1_prime, theta_dz, vartheta,
                       weierstrass)
@@ -226,16 +226,22 @@ def test_jacobi_quartic_on_wide_grid():
         assert abs(v3 ** 4 - v2 ** 4 - v4 ** 4) < 1e-12 * abs(v3) ** 4
 
 
-def test_series_control_validation_and_nonconvergence():
-    with pytest.raises(ValueError):
-        SeriesControl(max_terms=8)
-    with pytest.raises(ValueError):
-        SeriesControl(consecutive_negligible=1)
+def test_quasi_period_row_passes_at_seed_66000():
+    """Seed 66000 drew |theta1(z+tau)| near 10^3, where the absolute
+    residual reached 1.7e-11; the row states it relative to that size."""
+    from thetakit.suites import SuiteConfig, suite_theta
+
+    row = next(r for r in suite_theta(SuiteConfig(seed=66000)).checks
+               if r.check_id == "quasi-period-tau")
+    assert row.passed and row.residual < 1e-13, row
+
+
+def test_tau_validation_and_nonconvergence():
     with pytest.raises(ValueError):
         TauPoint(1.0 - 0.2j)
-    tight = TauPoint(0.002j, SeriesControl(max_terms=16))
+    # this close to the real axis the series does not settle in MAX_TERMS
     with pytest.raises(NonConvergenceError) as err:
-        theta(ThetaSpec(0, 0), 0.0, tight)
+        theta(ThetaSpec(0, 0), 0.0, 1e-6j)
     assert err.value.partial is not None
 
 
