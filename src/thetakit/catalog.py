@@ -28,14 +28,12 @@ from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
-import numpy as np
-
 from .errors import CatalogError, PoleProximityError, ThetaKitError
 from .fuchs import LinearODE, pq_to_normal
 from .jets import (Jet, dedekind_jet, jacobi_theta_jet, jet_newton_inverse,
                    md_transport_residual, meromorphic_derivative, vartheta_jet)
 from .painleve import PicardIndex, hauptmodul_x, picard_y, sqrt_x_jet
-from .rational import BivarPoly, Poly, RationalFunc
+from .rational import BivarPoly, Poly, RationalFunc, complex_roots
 
 # Standard verification grid: away from the catalog functions' poles,
 # Im tau in [0.9, 2.2], Re tau in {-0.35, 0, 0.4}.
@@ -624,10 +622,11 @@ TETRA_Y_OF_T = RationalFunc(Poly([-1, 1]) * Poly([2, 1]),
 
 def tetra_branch_seeds(x: complex):
     """The three roots T of x(T) = x, num(T) - x den(T) = 0: one seed for
-    each local branch of the tetrahedral parameter."""
-    poly = [complex(n) - x * complex(d) for n, d in
-            zip(TETRA_X_OF_T.num.coeffs, TETRA_X_OF_T.den.coeffs, strict=True)]
-    return np.roots(list(reversed(poly)))
+    each local branch of the tetrahedral parameter, in the order of
+    ``complex_roots``."""
+    return complex_roots([complex(n) - x * complex(d) for n, d in
+                          zip(TETRA_X_OF_T.num.coeffs, TETRA_X_OF_T.den.coeffs,
+                              strict=True)])
 
 
 def icosa_y_from_level3(x: complex, yt: complex) -> complex:
@@ -691,7 +690,7 @@ def _tetra_t_jet(tau, order=5) -> Jet:
         try:
             tj = jet_newton_inverse(lambda w: TETRA_X_OF_T(w),
                                     lambda w: dx(w), xj, seed)
-        except Exception:
+        except (ThetaKitError, ZeroDivisionError):
             continue
         r = abs(meromorphic_derivative(tj) - q_t(tj.value))
         if best is None or r < best[0]:
@@ -809,7 +808,13 @@ def exceptional_heun_equivalence_check(q_lem: RationalFunc,
         (2 X^2 - 1)^2 = (x^2 - 20 x - 8)^2 / (64 (1 - x)^3):
 
     on-curve residual of Q_lem(X) = [X,x] + Q_9(x)/X'(x)^2, with the
-    implicit derivatives of X(x) from the curve."""
+    implicit derivatives of X(x) from the curve.
+
+    G(x0, X) has two +-pairs of roots in X. The branch X(x) starts from the
+    root of smallest modulus, ties to the larger real part (then to the
+    smaller imaginary part), so it does not depend on the order a root
+    finder returns; the other pair sits next to the double poles of Q_lem
+    at X = +-1."""
     import random
 
     rng = rng or random.Random(1)
@@ -824,8 +829,7 @@ def exceptional_heun_equivalence_check(q_lem: RationalFunc,
                 if jj == j:
                     c += complex(val) * x0 ** i
             coefs.append(c)
-        roots = np.roots(list(reversed(coefs)))
-        X0 = roots[0]
+        X0 = min(complex_roots(coefs), key=lambda r: (abs(r), -r.real, r.imag))
         # implicit jet of X(x) through jet Newton on the curve
         x_jet = Jet(0.0, [x0, 1.0, 0.0, 0.0, 0.0])
 

@@ -21,13 +21,11 @@ from cmath import pi
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
 from .control import as_tau
 from .errors import CriticalPointError, PoleProximityError, ThetaKitError
 from .fuchs import heun_s_jet
 from .jets import Jet, eta1_jet, jet_newton_inverse, vartheta_jet
-from .rational import Poly, RationalFunc
+from .rational import Poly, RationalFunc, complex_roots
 from .thetafuncs import elliptic_constants, eta1
 
 _IPI = 1j * pi
@@ -193,10 +191,11 @@ def schwarz_integrate(q: RationalFunc, init: tuple[complex, complex, complex],
     jets available through ``SchwarzState.as_jet``) are recorded roughly
     every ``sample_every`` of path length, plus both endpoints.
     """
-    poles = []
+    # the guard needs only the distinct poles: the roots of the square-free
+    # part of the exact denominator, which are simple, so Aberth converges
+    # fast on them
     den = q.den
-    if den.degree > 0:
-        poles = list(np.roots([complex(c) for c in reversed(den.coeffs)]))
+    poles = complex_roots(den.divmod(den.gcd(den.derivative()))[0].coeffs)
 
     def guard(x: complex, xd: complex):
         if abs(xd) < min_xd:

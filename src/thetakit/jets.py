@@ -187,11 +187,6 @@ class Jet:
         return max(abs(c) for c in self.coeffs)
 
 
-def variable_jet(base: complex, order: int) -> Jet:
-    """The identity function tau as a jet at ``base``."""
-    return Jet(base, [complex(base), 1.0] + [0j] * (order - 1))
-
-
 def constant_jet(base: complex, value: complex, order: int) -> Jet:
     return Jet(base, [complex(value)] + [0j] * order)
 

@@ -1,5 +1,6 @@
 """Exact rational machinery: univariate polynomials, rational functions,
-and bivariate polynomials over Q.
+and bivariate polynomials over Q, plus a complex root finder for float
+polynomials.
 
 Coefficients stay `fractions.Fraction` until the moment of evaluation, so
 transcription of the large curve polynomials can be checked by
@@ -10,8 +11,12 @@ so the same object serves exact identity checks and jet composition.
 
 from __future__ import annotations
 
+import cmath
+import math
 from fractions import Fraction
 from typing import Iterable
+
+from .errors import NewtonError
 
 
 def _frac(x) -> Fraction:
@@ -134,11 +139,6 @@ class Poly:
         if a.is_zero():
             return Poly([1])
         return a * (1 / a.coeffs[-1])
-
-    def monic(self) -> "Poly":
-        if self.is_zero():
-            return self
-        return self * (1 / self.coeffs[-1])
 
     def __call__(self, x):
         """Horner evaluation; works for complex, Fraction, Poly, jets, ...
@@ -276,9 +276,146 @@ def _as_rational(x) -> RationalFunc:
     return RationalFunc(Poly([x]))
 
 
-def mobius(a, b, c, d) -> RationalFunc:
-    """(a x + b)/(c x + d) as an exact RationalFunc."""
-    return RationalFunc(Poly([_frac(b), _frac(a)]), Poly([_frac(d), _frac(c)]))
+_EPS = 2.0 ** -52
+_ABERTH_TOL = 2.0 ** -20
+_ABERTH_SWEEPS = 500
+
+
+def complex_roots(coeffs) -> list[complex]:
+    """Every root, with multiplicity, of sum_k coeffs[k] x^k (ascending
+    coefficients, anything ``complex()`` accepts; trailing zeros dropped).
+
+    Aberth-Ehrlich iteration (D. A. Bini, Numer. Algorithms 13, 1996):
+    the starting points lie on the circles of the Newton polygon of
+    log|coeffs[k]|, one circle per edge, at angles 2 pi (j/m + k/n) + 0.4.
+    A root stops moving once its correction falls below 2^-20 of its
+    modulus (near a simple root the convergence is cubic, so the error left
+    is far smaller) or its residual reaches the rounding level of Horner's
+    rule. One Newton step then polishes each root, kept only if it lowers
+    |p|. Zero low-order coefficients give exact zero roots. The
+    coefficients are not rescaled, so no quotient of them can overflow.
+
+    The roots come back sorted by increasing modulus, then by decreasing
+    real part, then by increasing imaginary part. Pure Python and
+    deterministic. A multiple root converges only linearly and to about
+    eps^(1/m); pass the square-free part where that matters. Raises
+    ``ValueError`` for the zero polynomial or a coefficient that is not
+    finite, and ``NewtonError`` if the iteration does not settle or leaves
+    a root z with |p(z)| above 2^-20 sum_k |coeffs[k]| |z|^k (as an
+    overflow in Horner's rule does).
+    """
+    cs = [complex(c) for c in coeffs]
+    if not all(cmath.isfinite(c) for c in cs):
+        raise ValueError(f"polynomial coefficients must be finite: {cs}")
+    while cs and cs[-1] == 0:
+        cs.pop()
+    if not cs:
+        raise ValueError("the zero polynomial has no finite root set")
+    zeros = 0
+    while cs[zeros] == 0:
+        zeros += 1
+    desc = cs[zeros:][::-1]
+    roots = [0j] * zeros
+    if len(desc) == 2:
+        roots.append(-desc[1] / desc[0])
+    elif len(desc) > 2:
+        roots.extend(_aberth(desc))
+    return sorted(roots, key=lambda z: (abs(z), -z.real, z.imag))
+
+
+def _newton_polygon_starts(desc) -> list[complex]:
+    """Bini's starting points for the polynomial with descending
+    coefficients ``desc`` (nonzero constant term): for each edge k1 -> k2
+    of the upper convex hull of (k, log|a_k|), m = k2 - k1 points on the
+    circle of radius (|a_k1|/|a_k2|)^(1/m)."""
+    n = len(desc) - 1
+    hull = []
+    for k in range(n + 1):
+        a = abs(desc[n - k])
+        if a == 0:
+            continue
+        y = math.log(a)
+        while len(hull) >= 2:
+            (k0, y0), (k1, y1) = hull[-2], hull[-1]
+            if (k1 - k0) * (y - y0) < (y1 - y0) * (k - k0):
+                break
+            hull.pop()
+        hull.append((k, y))
+    z = []
+    for (k1, y1), (k2, y2) in zip(hull, hull[1:]):
+        m = k2 - k1
+        radius = math.exp((y1 - y2) / m)
+        z.extend(cmath.rect(radius, 2.0 * math.pi * (j / m + k1 / n) + 0.4)
+                 for j in range(m))
+    return z
+
+
+def _horner(desc, z):
+    """p(z), p'(z) and sum |a_k| |z|^k for the descending coefficients
+    ``desc``."""
+    p = desc[0]
+    d = 0j
+    scale = abs(p)
+    az = abs(z)
+    for c in desc[1:]:
+        d = d * z + p
+        p = p * z + c
+        scale = scale * az + abs(c)
+    return p, d, scale
+
+
+def _aberth(desc) -> list[complex]:
+    """The n >= 2 roots of the polynomial with descending coefficients
+    ``desc`` (nonzero constant term), unsorted."""
+    n = len(desc) - 1
+    z = _newton_polygon_starts(desc)
+    lead = abs(desc[0])
+    tail = [(c, abs(c)) for c in desc[1:]]
+    moving = list(range(n))
+    for _ in range(_ABERTH_SWEEPS):
+        still = []
+        for i in moving:
+            zi = z[i]
+            # _horner inlined, with the |a_k| taken once: the hot loop
+            az = abs(zi)
+            p = desc[0]
+            d = 0j
+            scale = lead
+            for c, ac in tail:
+                d = d * zi + p
+                p = p * zi + c
+                scale = scale * az + ac
+            if abs(p) <= 4.0 * _EPS * scale:
+                continue
+            sigma = 0j
+            for j, zj in enumerate(z):
+                if j != i:
+                    sigma += 1.0 / (zi - zj)
+            t = d / p - sigma
+            if t == 0:
+                still.append(i)
+                continue
+            w = 1.0 / t
+            zi -= w
+            z[i] = zi
+            if abs(w) > _ABERTH_TOL * abs(zi):
+                still.append(i)
+        moving = still
+        if not moving:
+            break
+    else:
+        raise NewtonError(f"Aberth iteration did not settle for degree {n}")
+    for i in range(n):
+        p, d, scale = _horner(desc, z[i])
+        if p != 0 and d != 0:
+            step = z[i] - p / d
+            q, _, qscale = _horner(desc, step)
+            if abs(q) < abs(p):
+                z[i], p, scale = step, q, qscale
+        if not (math.isfinite(scale) and abs(p) <= _ABERTH_TOL * scale):
+            raise NewtonError(f"Aberth iteration left a root with residual "
+                              f"{abs(p):.3g} of {scale:.3g} (degree {n})")
+    return z
 
 
 class BivarPoly:

@@ -38,16 +38,21 @@ class SuiteConfig:
     grid: tuple = STANDARD_GRID
     catalog_path: str | None = None
     suite_tolerances: dict = field(default_factory=dict)
+    _catalog: dict | None = field(default=None, init=False, repr=False,
+                                  compare=False)
 
     def rng(self, salt: int = 0) -> random.Random:
         return random.Random(self.seed * 1000003 + salt)
 
     def catalog(self):
         """The entries at ``catalog_path``, read and checksum-verified on
-        each call, or the packaged catalog, parsed once per process."""
+        the first call and kept on this config, or the packaged catalog,
+        parsed once per process."""
         if self.catalog_path is None:
             return cat.default_catalog()
-        return cat.load_catalog(self.catalog_path)
+        if self._catalog is None:
+            self._catalog = cat.load_catalog(self.catalog_path)
+        return self._catalog
 
 
 def _theta_grid(n: int = 50):
@@ -692,8 +697,6 @@ def suite_inversion(cfg: SuiteConfig) -> Report:
                      max(abs(r - base) / abs(base) for r in ratios),
                      1e-9, note=f"constant = {base:.6g}"))
 
-    import numpy as np
-
     def closed_basis(tau):
         s = fuchs.heun_s_jet(tau, 0).value
         rs = cmath.sqrt(s)
@@ -706,9 +709,11 @@ def suite_inversion(cfg: SuiteConfig) -> Report:
         f1, f2 = closed_basis(tau)
         p1, p2 = fuchs.heun_psi(tau)
         rows.append((f1, f2, p1, p2))
-    mat = np.array([[rows[0][0], rows[0][1]], [rows[1][0], rows[1][1]]])
-    c1 = np.linalg.solve(mat, np.array([rows[0][2], rows[1][2]]))
-    c2 = np.linalg.solve(mat, np.array([rows[0][3], rows[1][3]]))
+    # Cramer's rule for [[a, b], [c, d]] (c1, c2) = (psi(tau_0), psi(tau_1))
+    (a, b, p1a, p2a), (c, d, p1b, p2b) = rows
+    det = a * d - b * c
+    c1 = ((p1a * d - b * p1b) / det, (a * p1b - c * p1a) / det)
+    c2 = ((p2a * d - b * p2b) / det, (a * p2b - c * p2a) / det)
     worst = 0.0
     for tau in taus[2:]:
         f1, f2 = closed_basis(tau)
@@ -720,6 +725,7 @@ def suite_inversion(cfg: SuiteConfig) -> Report:
                      "to a constant 2x2 change of basis", "fit 2, verify 6",
                      worst, 1e-7))
 
+    q_heun = cfg.catalog()["heun"].Q
     worst = 0.0
     for tau in taus[:4]:
         from .jets import vartheta_jet
@@ -733,10 +739,7 @@ def suite_inversion(cfg: SuiteConfig) -> Report:
         sd, sdd = sj.d(1), sj.d(2)
         pd, pdd = psi.d(1), psi.d(2)
         psi_ss = (pdd * sd - pd * sdd) / sd ** 3
-        s = sj.value
-        q = -(1.0 / s ** 2 + 1.0 / (s - 1.0) ** 2 + 1.0 / (s - 9.0) ** 2
-              - (2.0 * s - 8.0) / (s * (s - 1.0) * (s - 9.0))) / 4.0
-        worst = max(worst, abs(psi_ss - q * psi.value))
+        worst = max(worst, abs(psi_ss - 0.5 * q_heun(sj.value) * psi.value))
     rep.add(CheckRow("heun-ode", "basis satisfies its own linear equation along "
                      "the parametrization", "4 points", worst, 1e-7))
 

@@ -1,6 +1,7 @@
-"""Independent oracles used to freeze expected values.
+"""Independent oracles used to freeze expected values, and the small
+constructors several test modules share.
 
-Everything here is deliberately primitive and separate from the package
+The oracles are deliberately primitive and separate from the package
 implementation: direct fixed-range summation for the theta series, a
 minimal AGM for the complete integrals, and step-halved Richardson
 finite differences for derivatives.
@@ -8,6 +9,9 @@ finite differences for derivatives.
 
 import cmath
 import math
+
+from thetakit.jets import Jet
+from thetakit.rational import Poly, RationalFunc
 
 PI = math.pi
 
@@ -61,3 +65,13 @@ def richardson_diff(f, x, h=1e-4, order=1):
         raise ValueError("order 1 or 2 only")
     d1, d2 = d(h), d(h / 2.0)
     return (4.0 * d2 - d1) / 3.0
+
+
+def variable_jet(base: complex, order: int) -> Jet:
+    """The identity function tau as a jet at ``base``."""
+    return Jet(base, [complex(base), 1.0] + [0j] * (order - 1))
+
+
+def mobius(a, b, c, d) -> RationalFunc:
+    """(a x + b)/(c x + d) as an exact RationalFunc."""
+    return RationalFunc(Poly([b, a]), Poly([d, c]))

@@ -295,3 +295,50 @@ def test_reference_entry_mutant_fails_a_row(tmp_path, eid, old, new, suite):
     path = _mutated_catalog(tmp_path, eid, old, new)
     rep = SUITES[suite](SuiteConfig(seed=0, catalog_path=str(path)))
     assert rep.failed, eid
+
+
+def test_heun_mutant_fails_the_heun_ode_row(tmp_path):
+    """``inversion/heun-ode`` reads the ``heun`` entry: a coefficient of its
+    Q raised by 1 fails that row."""
+    from thetakit.suites import SUITES, SuiteConfig
+
+    def heun_ode(path):
+        rep = SUITES["inversion"](SuiteConfig(seed=0, catalog_path=str(path)))
+        return next(row for row in rep.checks if row.check_id == "heun-ode")
+
+    assert heun_ode(cat.default_catalog_path()).passed
+    mutant = heun_ode(_mutated_catalog(tmp_path, "heun", "qnum: -81/2 54 ",
+                                       "qnum: -81/2 55 "))
+    assert not mutant.passed and mutant.residual > 1e3 * mutant.tolerance
+
+
+def test_path_given_catalog_is_loaded_once_per_run(monkeypatch):
+    """``run_suite("all")`` with ``catalog_path`` parses the file once."""
+    from thetakit.suites import SuiteConfig, run_suite
+
+    calls = []
+    load = cat.load_catalog
+
+    def counting_load(path=None):
+        calls.append(path)
+        return load(path)
+
+    monkeypatch.setattr(cat, "load_catalog", counting_load)
+    path = str(cat.default_catalog_path())
+    run_suite("all", SuiteConfig(seed=0, catalog_path=path))
+    assert calls == [path]
+
+
+def test_hypergeometric_pair_branch_does_not_depend_on_root_order(
+        monkeypatch, entries):
+    """The check picks its branch X(x) by an explicit criterion, so roots
+    handed over in reverse order give the same residual bits."""
+    args = (entries["exc-heun-I"].Q, entries["exc-heun-III"].Q,
+            entries["xx-curve"].F)
+    plain = cat.exceptional_heun_equivalence_check(*args, random.Random(1))
+    roots = cat.complex_roots
+    monkeypatch.setattr(cat, "complex_roots",
+                        lambda coeffs: roots(coeffs)[::-1])
+    flipped = cat.exceptional_heun_equivalence_check(*args, random.Random(1))
+    assert flipped.residual == plain.residual
+    assert plain.residual < 1e-13

@@ -134,6 +134,18 @@ def test_console_script_entry_point():
     assert "toroidal" in out.stdout
 
 
+def test_verification_process_does_not_load_numpy():
+    """The package has no runtime dependency: importing the CLI and the
+    suites, and running every suite, leaves numpy unloaded."""
+    code = ("import sys, thetakit.cli, thetakit.suites\n"
+            "assert 'numpy' not in sys.modules, 'numpy on import'\n"
+            "thetakit.suites.run_suite('all')\n"
+            "assert 'numpy' not in sys.modules, 'numpy in a pass'\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True)
+    assert out.returncode == 0, out.stderr[-2000:]
+
+
 @pytest.mark.parametrize("config,argv", [
     ("seed=abc\n", []),
     ("bad config line\n", []),

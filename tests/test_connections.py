@@ -12,6 +12,8 @@ from thetakit.errors import CriticalPointError, PoleProximityError
 from thetakit.painleve import hauptmodul_x
 from thetakit.rational import Poly, RationalFunc
 
+from oracles import variable_jet
+
 
 def test_chazy_residual_and_control():
     for tau in (1.1j, 0.4 + 0.9j, 0.2 + 1.5j):
@@ -130,8 +132,6 @@ def test_conical_growth():
 
 
 def test_nabla_quantities_flat_probe():
-    from thetakit.jets import variable_jet
-
     cj = conn.connection_from_jet(variable_jet(1.2j, 5))
     om, nab, nab2 = conn.nabla_quantities(cj)
     assert abs(cj.gamma) < 1e-14 and abs(om) < 1e-14 and abs(nab) < 1e-14

@@ -126,8 +126,6 @@ def test_heun_psi_constancy_and_ode():
 def test_sk_closed_form_basis():
     import cmath
 
-    import numpy as np
-
     from thetakit.thetafuncs import elliptic_K
 
     def closed_basis(tau):
@@ -139,8 +137,10 @@ def test_sk_closed_form_basis():
 
     taus = [1j * t for t in (1.0, 1.15, 1.3, 1.45, 1.6, 1.75, 1.9, 2.05)]
     rows = [closed_basis(t) + fuchs.heun_psi(t) for t in taus[:2]]
-    mat = np.array([[rows[0][0], rows[0][1]], [rows[1][0], rows[1][1]]])
-    c1 = np.linalg.solve(mat, np.array([rows[0][2], rows[1][2]]))
+    # Cramer's rule for [[a, b], [c, d]] c1 = (psi1(tau_0), psi1(tau_1))
+    (a, b, p1a, _), (c, d, p1b, _) = rows
+    det = a * d - b * c
+    c1 = ((p1a * d - b * p1b) / det, (a * p1b - c * p1a) / det)
     for tau in taus[2:]:
         f1, f2 = closed_basis(tau)
         p1, _ = fuchs.heun_psi(tau)

@@ -13,12 +13,12 @@ from thetakit import (CriticalPointError, GeneratorState, Jet, MovingState,
                       meromorphic_derivative, moving_ring_rhs)
 from thetakit.jets import (eta1_jet, jacobi_theta_jet, jet_newton_inverse,
                            companion_indices, rational_md, theta_jet,
-                           thetaprime_jet, variable_jet, vartheta_jet)
+                           thetaprime_jet, vartheta_jet)
 from thetakit.painleve import hauptmodul_x
-from thetakit.rational import Poly, RationalFunc, mobius
+from thetakit.rational import Poly, RationalFunc
 from thetakit.thetafuncs import theta
 
-from oracles import richardson_diff
+from oracles import mobius, richardson_diff, variable_jet
 
 PI = math.pi
 

@@ -2,12 +2,20 @@
 
 from fractions import Fraction
 
+import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from thetakit.errors import CatalogError
+from thetakit.errors import CatalogError, NewtonError
 from thetakit.jets import Jet
-from thetakit.rational import BivarPoly, Poly, RationalFunc, mobius
+from thetakit.rational import BivarPoly, Poly, RationalFunc, complex_roots
+
+from oracles import mobius
+
+
+def monic(p: Poly) -> Poly:
+    """``p`` divided by its leading coefficient."""
+    return p if p.is_zero() else p * (1 / p.coeffs[-1])
 
 
 def test_poly_arithmetic_exact():
@@ -18,7 +26,7 @@ def test_poly_arithmetic_exact():
     assert p.derivative().coeffs == (Fraction(-34), Fraction(2))
     quo, rem = (p * q + Poly([7])).divmod(p)
     assert quo == q and rem == Poly([7])
-    assert (p * q).gcd(p) == p.monic()
+    assert (p * q).gcd(p) == monic(p)
     assert p(Fraction(2)) == Fraction(-63)
     assert (p ** 2).degree == 4
 
@@ -133,3 +141,67 @@ def test_catalog_checksum_contract(tmp_path):
     p3.write_text(good)
     assert sorted(load_catalog(p3)) == sorted(entries)
 
+
+def _match_distinct(got, ref, tol):
+    """Pair every root in ``got`` with a distinct nearest root of ``ref``
+    and assert each pair is within ``tol`` max(1, |r|)."""
+    ref = list(ref)
+    assert len(got) == len(ref)
+    worst = 0.0
+    for g in got:
+        j = min(range(len(ref)), key=lambda k: abs(ref[k] - g))
+        worst = max(worst, abs(ref[j] - g) / max(1.0, abs(ref[j])))
+        ref.pop(j)
+    assert worst <= tol, worst
+
+
+@given(cs=st.lists(st.integers(-20, 20), min_size=1, max_size=24),
+       lead=st.integers(-9, 9).filter(bool))
+@settings(max_examples=100, deadline=None)
+def test_complex_roots_match_mpmath(cs, lead):
+    """Square-free integer polynomials of degree 1-24: every root matches a
+    distinct root of mpmath's ``polyroots`` to 1e-9 max(1, |r|)."""
+    cs = cs + [lead]
+    p = Poly(cs)
+    assume(p.gcd(p.derivative()).degree == 0)
+    ref = mpmath.polyroots(cs[::-1], maxsteps=400, extraprec=300)
+    _match_distinct(complex_roots(cs), [complex(r) for r in ref], 1e-9)
+
+
+def test_complex_roots_of_a_polynomial_with_double_roots():
+    """Double roots come back (only to about sqrt(eps)); the square-free
+    part, formed exactly, gives the distinct roots to 1e-13."""
+    p = Poly([-1, 1]) ** 2 * Poly([2, 1]) ** 2 * Poly([1, 0, 1]) * Poly([0, 1])
+    distinct = [1, -2, 1j, -1j, 0]
+    got = complex_roots(p.coeffs)
+    assert len(got) == 7
+    _match_distinct(got, [1, 1, -2, -2, 1j, -1j, 0], 1e-6)
+    square_free = p.divmod(p.gcd(p.derivative()))[0]
+    assert square_free.degree == 5
+    _match_distinct(complex_roots(square_free.coeffs), distinct, 1e-13)
+
+
+def test_complex_roots_order_and_edge_cases():
+    # sorted by modulus, then by decreasing real part, then imaginary part
+    assert complex_roots([-4, 0, 1]) == [2, -2]
+    roots = complex_roots([1, 0, 1])
+    assert [abs(r) for r in roots] == pytest.approx([1, 1], abs=1e-15)
+    assert roots[0].imag < 0 < roots[1].imag
+    assert complex_roots([0, 0, 3, 3]) == [0j, 0j, -1]
+    assert complex_roots([5]) == []
+    assert complex_roots([2, 4, 0, 0]) == [-0.5]
+    with pytest.raises(ValueError):
+        complex_roots([0, 0])
+    with pytest.raises(ValueError):
+        complex_roots([1, float("nan"), 1])
+    # no rescaling by the leading coefficient: 1e-300 + 1e300 x^31 keeps
+    # its roots, 10^(-600/31) on a circle
+    roots = complex_roots([1e-300] + [0] * 30 + [1e300])
+    assert len(roots) == 31
+    assert all(abs(abs(r) / 10 ** (-600 / 31) - 1) < 1e-13 for r in roots)
+    # Horner's rule overflows: a typed error, not roots of a wrong polynomial
+    with pytest.raises(NewtonError):
+        complex_roots([1e308, 1e308, 1e308])
+    # deterministic: a second call returns the same bits
+    cs = [3 + 1j, -2, 0.5j, 7, 1]
+    assert complex_roots(cs) == complex_roots(cs)

@@ -10,10 +10,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from thetakit import toroidal as tor
-from thetakit.jets import variable_jet
 from thetakit.thetafuncs import elliptic_constants, weierstrass
 
-from oracles import richardson_diff
+from oracles import richardson_diff, variable_jet
 
 
 def test_exceptional_constants():
